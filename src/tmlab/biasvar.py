@@ -31,6 +31,7 @@ import numpy as np
 from tmlab.corpus import BOS, EOS, ParallelCorpus, SEP_TOKEN, Vocab, build_vocab, encode_corpus, split_equal
 from tmlab.ensemble import finetune_weighted, mode_seq_probs, tm_ids
 from tmlab.errors import DataError
+from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import Checkpoint, ModelConfig, TrainConfig, train
 from tmlab.retrieval import build_index, retrieve_topk
 from tmlab.seeding import subseed, substream
@@ -91,12 +92,6 @@ def kl(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], EPS))))
-
-
-def ce_from_dists(dists: np.ndarray, golds: np.ndarray) -> float:
-    """Mean -log P(gold); picked mass clipped into [EPS, 1]."""
-    picked = np.clip(dists[np.arange(len(golds)), golds], EPS, 1.0)
-    return float(-np.log(picked).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,7 @@ def decompose(dists_by_model: Sequence[np.ndarray], golds: np.ndarray,
         raise DataError("decompose needs at least one model")
     raw = [np.asarray(d, dtype=np.float64) for d in dists_by_model]
     n_points = raw[0].shape[0]
-    loss = float(np.mean([ce_from_dists(d, golds) for d in raw]))
+    loss = float(np.mean([token_ce_from_dists(d, golds) for d in raw]))
 
     trunc = [np.stack([truncate_top(row, truncate) for row in d]) for d in raw]
     var_forward = var_reverse = kl_gold = loss_trunc = 0.0

@@ -37,7 +37,14 @@ from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.experiments import ExperimentConfig, run_experiment
 from tmlab.fileio import atomic_write_text
 from tmlab.model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
-from tmlab.retrieval import build_index, load_index, retrieve_topk, save_index
+from tmlab.retrieval import (
+    RetrievalIndex,
+    build_index,
+    load_index,
+    load_index_corpus,
+    retrieve_topk,
+    save_index,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,11 +69,11 @@ def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
 
 def _model_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn", type=int, default=128)
-    p.add_argument("--src-layers", type=int, default=2)
-    p.add_argument("--mem-layers", type=int, default=2)
-    p.add_argument("--dec-layers", type=int, default=2)
+    p.add_argument("--heads", type=int, default=4, dest="n_heads")
+    p.add_argument("--ffn", type=int, default=128, dest="ffn_dim")
+    p.add_argument("--src-layers", type=int, default=2, dest="n_src_layers")
+    p.add_argument("--mem-layers", type=int, default=2, dest="n_mem_layers")
+    p.add_argument("--dec-layers", type=int, default=2, dest="n_dec_layers")
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--max-len", type=int, default=64)
 
@@ -80,17 +87,14 @@ def _train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topk", type=int, default=5)
 
 
-def _model_config(a, vocab: Vocab, arch: str) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=len(vocab), d_model=a.d_model, n_heads=a.heads, ffn_dim=a.ffn,
-        n_src_layers=a.src_layers, n_mem_layers=a.mem_layers, n_dec_layers=a.dec_layers,
-        dropout=a.dropout, max_len=a.max_len, arch=arch,
-    )
-
-
 def _train_config(a) -> TrainConfig:
     return TrainConfig(epochs=a.epochs, batch_size=a.batch_size, base_lr=a.lr,
                        warmup=a.warmup, label_smoothing=a.smoothing, k_retrieval=a.topk)
+
+
+def _vocab_index(path: str | None, vocab: Vocab) -> RetrievalIndex | None:
+    """The index of a TMIDX1 file, built once over its pairs as vocab ids."""
+    return build_index(encode_corpus(load_index_corpus(path), vocab)) if path else None
 
 
 def build_parser() -> _Parser:
@@ -300,7 +304,7 @@ def _cmd_train(a, argv) -> int:
     vocab = Vocab.load(a.vocab) if a.vocab else build_vocab(
         ((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     datastore = load_tsv(a.datastore_tsv) if a.datastore_tsv else None
-    ckpt = train(a.arch, corpus, a.mode, _model_config(a, vocab, a.arch),
+    ckpt = train(a.arch, corpus, a.mode, ModelConfig.from_attrs(a, len(vocab), a.arch),
                  _train_config(a), a.seed, vocab=vocab, datastore=datastore,
                  verbose=not a.quiet)
     save_checkpoint(ckpt, a.out)
@@ -335,13 +339,7 @@ def _cmd_translate(a, argv) -> int:
     ckpt = load_checkpoint(a.ckpt, vocab)
     if a.mode != "vanilla" and not a.index:
         raise UsageError(f"--mode {a.mode} needs --index")
-    index = None
-    if a.index:
-        raw = load_index(a.index)
-        # the stored datastore is string tokens; re-key it by vocab ids
-        from tmlab.corpus import corpus_from_pairs
-        index = build_index(encode_corpus(
-            corpus_from_pairs(zip(raw.sources, raw.targets)), vocab))
+    index = _vocab_index(a.index, vocab)
     wn = None
     if a.mode == "weighted":
         if not a.weightnet:
@@ -383,12 +381,7 @@ def _cmd_eval(a, argv) -> int:
     if a.eval_cmd == "ppl":
         vocab = Vocab.load(a.vocab)
         ckpt = load_checkpoint(a.ckpt, vocab)
-        index = None
-        if a.index:
-            from tmlab.corpus import corpus_from_pairs
-            raw = load_index(a.index)
-            index = build_index(encode_corpus(
-                corpus_from_pairs(zip(raw.sources, raw.targets)), vocab))
+        index = _vocab_index(a.index, vocab)
         wn = None
         if a.weightnet:
             wn, _ = load_weightnet(a.weightnet)
@@ -413,8 +406,8 @@ def _cmd_biasvar(a, argv) -> int:
         if name not in ("vanilla", "base", "single", "average", "weighted"):
             raise UsageError(f"unknown model '{name}'")
         specs.append(BiasVarModelSpec(name=name, predict_mode=name, k_tms=a.topk))
-    cfg = _model_config(a, build_vocab(((p.source, p.target) for p in corpus),
-                                       extra=(SEP_TOKEN,)), "dual_enc")
+    vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
+    cfg = ModelConfig.from_attrs(a, len(vocab), "dual_enc")
     report = estimate_bias_variance(
         specs, corpus, test_pairs, valid_corpus=valid, config=cfg,
         train_cfg=_train_config(a), k_splits=a.splits, n_per_split=a.reps,

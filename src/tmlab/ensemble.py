@@ -31,15 +31,10 @@ from tmlab.corpus import BOS, EOS, PAD, ParallelCorpus, Vocab, encode_corpus
 from tmlab.errors import DataError, NumericError
 from tmlab.model import (
     Checkpoint,
-    ModelConfig,
-    TrainConfig,
-    build_concat_source,
-    build_memory_batch,
-    forward_dual,
-    forward_single_enc,
-    forward_vanilla,
     _pad_batch,
     _xavier,
+    forward_rows,
+    tm_state,
 )
 from tmlab.retrieval import RetrievalIndex, TmPair, build_index, retrieve_topk
 from tmlab.seeding import substream
@@ -57,52 +52,25 @@ def tm_ids(z: TmPair) -> TmIds:
 # Teacher-forced sequence distributions (single example, no grad)
 # ---------------------------------------------------------------------------
 
-def _seq_state(ckpt: Checkpoint, sep_id: int | None, x: Sequence[int],
-               tms: Sequence[TmIds], y_in: Sequence[int]):
-    cfg = ckpt.config
-    y = np.asarray([list(y_in)], dtype=np.int64)
-    with ad.no_grad():
-        if cfg.arch == "dual_enc":
-            xb = np.asarray([list(x)], dtype=np.int64)
-            mem = build_memory_batch([list(tms)], sep_id, cfg.max_len) if tms else None
-            return forward_dual(ckpt.params, cfg, xb, mem, y)
-        if cfg.arch == "single_enc":
-            concat = build_concat_source(x, tms, sep_id, cfg.max_len)
-            xb = np.asarray([list(concat)], dtype=np.int64)
-            return forward_single_enc(ckpt.params, cfg, xb, y)
-        if tms:
-            raise DataError("a vanilla checkpoint cannot condition on TMs")
-        xb = np.asarray([list(x)], dtype=np.int64)
-        return forward_vanilla(ckpt.params, cfg, xb, y)
+def _forward(ckpt: Checkpoint, sep_id: int | None, x: Sequence[int],
+             tm_lists: Sequence[Sequence[TmIds]], y_in: Sequence[int]):
+    """One row per TM list, every row over the source x and the target y_in.
 
-
-def _seq_probs(ckpt, sep_id, x, tms, y_in) -> np.ndarray:
-    return _seq_state(ckpt, sep_id, x, tms, y_in).p.data[0].astype(np.float64)
-
-
-def _multi_single_states(ckpt: Checkpoint, sep_id: int | None, x: Sequence[int],
-                         Z: Sequence[TmIds], y_in: Sequence[int]):
-    """All K single-TM forwards of one example as one batch of K rows.
-
-    Rows are bitwise identical to separate single-example forwards: the
+    Rows are bitwise identical to separate single-row forwards: the
     memory pool pads with exactly-masked slots and per-row reductions
     never mix rows.
     """
-    cfg = ckpt.config
-    K = len(Z)
-    if cfg.arch == "dual_enc":
-        xb = np.repeat(np.asarray([list(x)], dtype=np.int64), K, axis=0)
-        yb = np.repeat(np.asarray([list(y_in)], dtype=np.int64), K, axis=0)
-        mem = build_memory_batch([[z] for z in Z], sep_id, cfg.max_len)
-        with ad.no_grad():
-            return forward_dual(ckpt.params, cfg, xb, mem, yb)
-    if cfg.arch == "single_enc":
-        concats = [build_concat_source(x, [z], sep_id, cfg.max_len) for z in Z]
-        xb = _pad_batch(concats)
-        yb = np.repeat(np.asarray([list(y_in)], dtype=np.int64), K, axis=0)
-        with ad.no_grad():
-            return forward_single_enc(ckpt.params, cfg, xb, yb)
-    raise DataError("ensembles need a TM-capable checkpoint")
+    y = np.repeat(np.asarray([list(y_in)], dtype=np.int64), len(tm_lists), axis=0)
+    with ad.no_grad():
+        return forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(tm_lists),
+                            tm_lists, y)
+
+
+def _components(ckpt, sep_id, x, Z: Sequence[TmIds], y_in):
+    """The K single-TM forwards an ensemble mixes, as one batch of K rows."""
+    if not Z:
+        raise DataError("an ensemble needs at least one TM; use vanilla mode instead")
+    return _forward(ckpt, sep_id, x, [[z] for z in Z], y_in)
 
 
 def _softmax64(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -131,43 +99,20 @@ def mix_components(dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def base_seq_probs(ckpt, sep_id, x, Z: Sequence[TmIds], y_in) -> np.ndarray:
-    """Joint conditioning on the whole TM set (empty set degrades to vanilla)."""
-    return _seq_probs(ckpt, sep_id, x, list(Z), y_in)
-
-
-def single_seq_probs(ckpt, sep_id, x, z: TmIds | None, y_in) -> np.ndarray:
-    return _seq_probs(ckpt, sep_id, x, [z] if z is not None else [], y_in)
-
-
-def average_seq_probs(ckpt, sep_id, x, Z: Sequence[TmIds], y_in) -> np.ndarray:
-    if not Z:
-        raise DataError("average ensemble needs at least one TM; use vanilla mode instead")
-    st = _multi_single_states(ckpt, sep_id, x, Z, y_in)
-    dists = st.p.data.astype(np.float64)                    # (K, T, V)
-    weights = _softmax64(np.zeros((dists.shape[1], len(Z))))
-    return mix_components(dists, weights)
-
-
 def weighted_seq_probs(ckpt, weightnet, sep_id, x, Z: Sequence[TmIds], y_in,
                        return_weights: bool = False):
-    if not Z:
-        raise DataError("weighted ensemble needs at least one TM; use vanilla mode instead")
     d_model = ckpt.config.d_model
     if weightnet["wn.w2"].data.shape[0] != d_model:
         raise DataError(
             f"weightnet d_model {weightnet['wn.w2'].data.shape[0]} does not match "
             f"checkpoint d_model {d_model}"
         )
-    st = _multi_single_states(ckpt, sep_id, x, Z, y_in)
+    st = _components(ckpt, sep_id, x, Z, y_in)
     dists = st.p.data.astype(np.float64)                    # (K, T, V)
-    # memory enters after the decoder stack, so any row's decoder state is
-    # the plain one; the single-encoder variant needs an empty-TM forward
-    if ckpt.config.arch == "dual_enc":
-        h_t = st.h.data[:1]
-    else:
-        h_t = _seq_state(ckpt, sep_id, x, [], y_in).h.data
-    h_tk = np.transpose(_tm_state(st, ckpt.config.arch).data, (1, 0, 2))[None]  # (1,T,K,D)
+    # a forward with h_tz read its TMs after the decoder stack, so any row's
+    # decoder state is the TM-free one; otherwise that takes a TM-free forward
+    h_t = st.h.data[:1] if st.h_tz is not None else _forward(ckpt, sep_id, x, [()], y_in).h.data
+    h_tk = np.transpose(tm_state(st).data, (1, 0, 2))[None]  # (1,T,K,D)
     with ad.no_grad():
         scores = weightnet_scores(weightnet, ad.Tensor(h_t), ad.Tensor(h_tk))
     weights = _softmax64(scores.data[0])                    # (T, K)
@@ -175,49 +120,24 @@ def weighted_seq_probs(ckpt, weightnet, sep_id, x, Z: Sequence[TmIds], y_in,
     return (mixed, weights) if return_weights else mixed
 
 
-def _tm_state(state, arch: str):
-    """Decoding state summarizing one TM: the contextualized TM representation
-    for the dual encoder, the (TM-aware) decoder state for the single encoder."""
-    if arch == "dual_enc":
-        if state.h_tz is None:
-            raise DataError("dual forward carried no TM context")
-        return state.h_tz
-    return state.h
-
-
 def mode_seq_probs(mode: str, ckpt, sep_id, x, Z: Sequence[TmIds], y_in,
                    weightnet=None) -> np.ndarray:
-    if mode == "vanilla":
-        return _seq_probs(ckpt, sep_id, x, [], y_in)
-    if mode == "base":
-        return base_seq_probs(ckpt, sep_id, x, Z, y_in)
-    if mode == "single":
-        return single_seq_probs(ckpt, sep_id, x, Z[0] if Z else None, y_in)
+    """Next-token distributions (T, V) at every step of y_in, in one mode.
+
+    The only place that tells the prediction modes apart: scoring,
+    decoding and the bias-variance estimator all predict through it.
+    """
+    if mode in ("vanilla", "base", "single"):
+        tms = {"vanilla": [], "base": list(Z), "single": list(Z[:1])}[mode]
+        return _forward(ckpt, sep_id, x, [tms], y_in).p.data[0].astype(np.float64)
     if mode == "average":
-        return average_seq_probs(ckpt, sep_id, x, Z, y_in)
+        dists = _components(ckpt, sep_id, x, Z, y_in).p.data.astype(np.float64)
+        return mix_components(dists, _softmax64(np.zeros((dists.shape[1], len(Z)))))
     if mode == "weighted":
         if weightnet is None:
             raise DataError("weighted mode needs a weightnet")
         return weighted_seq_probs(ckpt, weightnet, sep_id, x, Z, y_in)
     raise DataError(f"unknown prediction mode '{mode}'")
-
-
-# Step-level views: distribution over the next token given a target prefix.
-
-def predict_base(ckpt, sep_id, x, Z, y_prefix) -> np.ndarray:
-    return base_seq_probs(ckpt, sep_id, x, Z, (BOS,) + tuple(y_prefix))[-1]
-
-
-def predict_single(ckpt, sep_id, x, z, y_prefix) -> np.ndarray:
-    return single_seq_probs(ckpt, sep_id, x, z, (BOS,) + tuple(y_prefix))[-1]
-
-
-def predict_average(ckpt, sep_id, x, Z, y_prefix) -> np.ndarray:
-    return average_seq_probs(ckpt, sep_id, x, Z, (BOS,) + tuple(y_prefix))[-1]
-
-
-def predict_weighted(ckpt, weightnet, sep_id, x, Z, y_prefix) -> np.ndarray:
-    return weighted_seq_probs(ckpt, weightnet, sep_id, x, Z, (BOS,) + tuple(y_prefix))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +237,8 @@ def finetune_weighted(
     if len(held_ids) == 0:
         fit_ids, held_ids = perm[:-1], perm[-1:]
 
-    tms = {int(i): retrieve_topk(index, enc_valid[int(i)].source, k) for i in perm}
+    tms = {int(i): [tm_ids(z) for z in retrieve_topk(index, enc_valid[int(i)].source, k)]
+           for i in perm}
     wn = init_weightnet(cfg.d_model, seed)
     all_params = dict(ckpt.params)
     all_params.update(wn)
@@ -327,23 +248,18 @@ def finetune_weighted(
 
     def batch_loss(ids: Sequence[int], train: bool) -> ad.Tensor:
         rows = [enc_valid[int(i)] for i in ids]
-        x = _pad_batch([r.source for r in rows])
+        sources = [r.source for r in rows]
         y_in = _pad_batch([(BOS,) + r.target for r in rows])
         y_out = _pad_batch([r.target + (EOS,) for r in rows])
         rng = drop_rng if train else None
-        state0 = forward_dual(ckpt.params, cfg, x, None, y_in, rng=rng, train=train)
+        state0 = forward_rows(ckpt.params, cfg, sep, sources, [()] * len(rows), y_in, rng, train)
         p_parts, h_parts = [], []
         B, T = y_in.shape
         for kk in range(k):
-            sel = [
-                [(tms[int(i)][kk].source, tms[int(i)][kk].target)] if kk < len(tms[int(i)]) else []
-                for i in ids
-            ]
-            mem = build_memory_batch(sel, sep, cfg.max_len)
-            st = forward_dual(ckpt.params, cfg, x, mem, y_in, rng=rng, train=train)
+            sel = [tms[int(i)][kk : kk + 1] for i in ids]
+            st = forward_rows(ckpt.params, cfg, sep, sources, sel, y_in, rng, train)
             p_parts.append(ad.reshape(st.p, (B, T, 1, cfg.vocab_size)))
-            h_tk = st.h_tz if st.h_tz is not None else st.h
-            h_parts.append(ad.reshape(h_tk, (B, T, 1, cfg.d_model)))
+            h_parts.append(ad.reshape(tm_state(st), (B, T, 1, cfg.d_model)))
         p_stack = ad.concat(p_parts, axis=2)            # (B, T, K, V)
         h_stack = ad.concat(h_parts, axis=2)            # (B, T, K, D)
         w = ad.softmax(weightnet_scores(wn, state0.h, h_stack), axis=-1)
@@ -405,21 +321,7 @@ StepFn = Callable[[tuple[int, ...]], np.ndarray]
 
 def make_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> StepFn:
     def step(prefix: tuple[int, ...]) -> np.ndarray:
-        if mode == "vanilla":
-            return _seq_probs(ckpt, sep_id, x, [], (BOS,) + prefix)[-1]
-        if mode == "single":
-            return predict_single(ckpt, sep_id, x, Z[0] if Z else None, prefix)
-        if mode == "base":
-            return predict_base(ckpt, sep_id, x, Z, prefix)
-        if mode == "average":
-            if not Z:
-                return predict_single(ckpt, sep_id, x, None, prefix)
-            return predict_average(ckpt, sep_id, x, Z, prefix)
-        if mode == "weighted":
-            if not Z:
-                return predict_single(ckpt, sep_id, x, None, prefix)
-            return predict_weighted(ckpt, weightnet, sep_id, x, Z, prefix)
-        raise DataError(f"unknown prediction mode '{mode}'")
+        return mode_seq_probs(mode, ckpt, sep_id, x, Z, (BOS,) + prefix, weightnet)[-1]
 
     return step
 
@@ -434,14 +336,22 @@ def sequence_score(step_fn: StepFn, tokens: tuple[int, ...]) -> float:
     return total / len(full)
 
 
-def greedy_decode(step_fn: StepFn, max_new: int) -> tuple[int, ...]:
+def greedy_decode(step_fn: StepFn, max_new: int) -> tuple[tuple[int, ...], float]:
+    """Arg-max decoding; the score is `sequence_score`'s, summed on the same walk.
+
+    Only a hypothesis cut at `max_new` takes one more step, for its EOS.
+    """
     out: tuple[int, ...] = ()
+    total = 0.0
     for _ in range(max_new):
-        tok = int(np.argmax(step_fn(out)))
+        dist = step_fn(out)
+        tok = int(np.argmax(dist))
+        total += math.log(max(float(dist[tok]), 1e-12))
         if tok == EOS:
-            break
+            return out, total / (len(out) + 1)
         out = out + (tok,)
-    return out
+    total += math.log(max(float(step_fn(out)[EOS]), 1e-12))
+    return out, total / (len(out) + 1)
 
 
 def beam_decode(step_fn: StepFn, width: int, max_new: int) -> tuple[tuple[int, ...], float]:
@@ -496,8 +406,7 @@ def decode(
     step_fn = make_step_fn(mode, ckpt, sep_id, tuple(x), Z, weightnet)
     max_new = max_new or (ckpt.config.max_len - 1)
     if strategy == "greedy":
-        tokens = greedy_decode(step_fn, max_new)
-        return tokens, sequence_score(step_fn, tokens)
+        return greedy_decode(step_fn, max_new)
     if strategy == "beam":
         return beam_decode(step_fn, beam_width, max_new)
     raise DataError(f"unknown decoding strategy '{strategy}'")

@@ -125,15 +125,6 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     return PreparedData(train_pool=pool, valid=valid, test=test, vocab=vocab)
 
 
-def _model_config(cfg: ExperimentConfig, vocab: Vocab, arch: str) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=len(vocab), d_model=cfg.d_model, n_heads=cfg.n_heads,
-        ffn_dim=cfg.ffn_dim, n_src_layers=cfg.n_src_layers,
-        n_mem_layers=cfg.n_mem_layers, n_dec_layers=cfg.n_dec_layers,
-        dropout=cfg.dropout, max_len=cfg.max_len, arch=arch,
-    )
-
-
 def _train_config(cfg: ExperimentConfig, epochs: int) -> TrainConfig:
     return TrainConfig(
         epochs=epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
@@ -179,17 +170,17 @@ def train_family(cfg: ExperimentConfig, data: PreparedData, train_corpus: Parall
     if need_vanilla:
         log(f"[train] vanilla on {len(train_corpus)} pairs")
         vanilla = train("vanilla", train_corpus, "none",
-                        _model_config(cfg, data.vocab, "vanilla"),
+                        ModelConfig.from_attrs(cfg, len(data.vocab), "vanilla"),
                         _train_config(cfg, cfg.epochs), cfg.seed, vocab=data.vocab)
     if need_base:
         log(f"[train] dual-encoder joint top-{cfg.topk} on {len(train_corpus)} pairs")
         base = train("dual_enc", train_corpus, "topk",
-                     _model_config(cfg, data.vocab, "dual_enc"),
+                     ModelConfig.from_attrs(cfg, len(data.vocab), "dual_enc"),
                      _train_config(cfg, cfg.tm_epochs), cfg.seed, vocab=data.vocab)
     if need_single:
         log(f"[train] dual-encoder single-TM on {len(train_corpus)} pairs")
         single = train("dual_enc", train_corpus, "single_multi",
-                       _model_config(cfg, data.vocab, "dual_enc"),
+                       ModelConfig.from_attrs(cfg, len(data.vocab), "dual_enc"),
                        _train_config(cfg, cfg.tm_epochs), cfg.seed, vocab=data.vocab)
     if need_weighted:
         log(f"[finetune] weighted ensemble, {cfg.finetune_updates} updates")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -65,6 +65,12 @@ class ModelConfig:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.arch not in ARCHITECTURES:
             raise DataError(f"unknown architecture '{self.arch}'")
+
+    @classmethod
+    def from_attrs(cls, obj, vocab_size: int, arch: str) -> "ModelConfig":
+        """Every other field from the same-named attribute of `obj`."""
+        names = [f.name for f in fields(cls) if f.name not in ("vocab_size", "arch")]
+        return cls(vocab_size=vocab_size, arch=arch, **{n: getattr(obj, n) for n in names})
 
 
 @dataclass(frozen=True)
@@ -402,11 +408,6 @@ def forward_vanilla(params, cfg: ModelConfig, x_ids: np.ndarray, y_in: np.ndarra
     return DecoderState(p=p, p_nmt=p, h=h, logits=logits)
 
 
-def forward_single_enc(params, cfg: ModelConfig, concat_ids: np.ndarray, y_in: np.ndarray,
-                       rng=None, train=False) -> DecoderState:
-    return forward_vanilla(params, cfg, concat_ids, y_in, rng, train)
-
-
 def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray, mem: MemoryBatch | None,
                  y_in: np.ndarray, rng=None, train=False) -> DecoderState:
     enc = _encode_stack(params, cfg, "src", cfg.n_src_layers, x_ids, rng, train)
@@ -428,6 +429,35 @@ def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray, mem: MemoryBatch |
                           has_tm=mem.has_tm)
     return DecoderState(p=p, p_nmt=p_nmt, h=h, logits=logits, p_tm=p_tm, lam=lam,
                         h_tz=h_tz, alpha=alpha)
+
+
+def forward_rows(params, cfg: ModelConfig, sep_id: int | None, sources: Sequence[Sequence[int]],
+                 tm_lists: Sequence[Sequence[tuple[tuple, tuple]]], y_in: np.ndarray,
+                 rng=None, train=False) -> DecoderState:
+    """One forward over a batch of rows, each a source with its own TM pairs.
+
+    The one place that knows how TMs enter each architecture: the dual
+    encoder reads them as a memory batch (none when no row has a TM), the
+    single encoder as a separator-joined source, and vanilla not at all.
+    """
+    if not all(len(s) for s in sources):
+        raise DataError("empty source sentence")
+    if cfg.arch == "dual_enc":
+        mem = build_memory_batch(tm_lists, sep_id, cfg.max_len) if any(tm_lists) else None
+        return forward_dual(params, cfg, _pad_batch(sources), mem, y_in, rng, train)
+    if cfg.arch == "single_enc":
+        x = _pad_batch([build_concat_source(s, tms, sep_id, cfg.max_len)
+                        for s, tms in zip(sources, tm_lists)])
+        return forward_vanilla(params, cfg, x, y_in, rng, train)
+    if any(tm_lists):
+        raise DataError("a vanilla checkpoint cannot condition on TMs")
+    return forward_vanilla(params, cfg, _pad_batch(sources), y_in, rng, train)
+
+
+def tm_state(state: DecoderState) -> ad.Tensor:
+    """The state that summarizes a row's TM: the contextualized TM state of a
+    dual-encoder forward that read one, else the (TM-aware) decoder state."""
+    return state.h_tz if state.h_tz is not None else state.h
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +556,18 @@ def train(
 ) -> Checkpoint:
     """Teacher-forced training with Adam and warmup + inverse-sqrt decay.
 
-    mode "none" always presents an empty TM set; "topk" conditions on
-    all retrieved TMs jointly; "single_multi" presents each pair once
-    per TM rank plus once with an empty TM (k_retrieval + 1 passes, so
-    six per epoch at the default k=5; missing ranks fall back to empty).
+    mode "none" always presents an empty TM set, and is the only mode a
+    vanilla model takes; "topk" conditions on all retrieved TMs jointly;
+    "single_multi" presents each pair once per TM rank plus once with an
+    empty TM (k_retrieval + 1 passes, so six per epoch at the default
+    k=5; missing ranks fall back to empty).
     """
     if arch not in ARCHITECTURES:
         raise DataError(f"unknown architecture '{arch}'")
     if mode not in TRAIN_MODES:
         raise DataError(f"unknown training mode '{mode}'")
+    if arch == "vanilla" and mode != "none":
+        raise DataError(f"a vanilla model trains without TMs: mode 'none', not '{mode}'")
     if vocab is None:
         vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     cfg = config or ModelConfig(vocab_size=len(vocab), arch=arch)
@@ -593,21 +626,11 @@ def _train_step(params, cfg, enc, tms, chunk, tc, state, step, sep, drop_rng) ->
         [(tms[i][r].source, tms[i][r].target) for r in ranks] if tms is not None else []
         for i, ranks in chunk
     ]
+    out = forward_rows(params, cfg, sep, [enc[i].source for i, _ in chunk], tm_sel, y_in,
+                       rng=drop_rng, train=True)
     if cfg.arch == "dual_enc":
-        x = _pad_batch([enc[i].source for i, _ in chunk])
-        mem = build_memory_batch(tm_sel, sep, cfg.max_len)
-        out = forward_dual(params, cfg, x, mem, y_in, rng=drop_rng, train=True)
         loss_t = ad.nll_from_probs(out.p, y_out, tc.label_smoothing, PAD)
-    elif cfg.arch == "single_enc":
-        x = _pad_batch([
-            build_concat_source(enc[i].source, sel, sep, cfg.max_len)
-            for (i, _), sel in zip(chunk, tm_sel)
-        ])
-        out = forward_single_enc(params, cfg, x, y_in, rng=drop_rng, train=True)
-        loss_t = ad.cross_entropy_label_smoothed(out.logits, y_out, tc.label_smoothing, PAD)
     else:
-        x = _pad_batch([enc[i].source for i, _ in chunk])
-        out = forward_vanilla(params, cfg, x, y_in, rng=drop_rng, train=True)
         loss_t = ad.cross_entropy_label_smoothed(out.logits, y_out, tc.label_smoothing, PAD)
     ad.zero_grads(params.values())
     ad.backward(loss_t, params=params.values())

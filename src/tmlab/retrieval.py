@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tmlab.corpus import ParallelCorpus
+from tmlab.corpus import ParallelCorpus, corpus_from_pairs
 from tmlab.errors import DataError
 from tmlab.fileio import atomic_write_bytes
 
@@ -245,15 +245,17 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     atomic_write_bytes(path, _MAGIC + struct.pack("<I", len(raw)) + raw)
 
 
-def load_index(path: str | Path) -> RetrievalIndex:
+def load_index_corpus(path: str | Path) -> ParallelCorpus:
+    """The datastore a TMIDX1 file stores, as pairs of string tokens."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise DataError(f"{path}: not a TMIDX1 index file")
     (n,) = struct.unpack("<I", raw[len(_MAGIC) : len(_MAGIC) + 4])
     body = json.loads(zlib.decompress(raw[len(_MAGIC) + 4 : len(_MAGIC) + 4 + n]).decode("utf-8"))
-    from tmlab.corpus import corpus_from_pairs
-
-    corpus = corpus_from_pairs(
+    return corpus_from_pairs(
         (tuple(s), tuple(t)) for s, t in zip(body["sources"], body["targets"])
     )
-    return build_index(corpus)
+
+
+def load_index(path: str | Path) -> RetrievalIndex:
+    return build_index(load_index_corpus(path))

@@ -33,14 +33,9 @@ from tmlab.corpus import (
     synth_task,
 )
 from tmlab.ensemble import (
-    average_seq_probs,
-    base_seq_probs,
     decode,
     init_weightnet,
     mode_seq_probs,
-    predict_average,
-    predict_single,
-    single_seq_probs,
     tm_ids,
     weighted_seq_probs,
 )
@@ -243,13 +238,13 @@ def test_criterion_05_normalization_fuzz():
             y_in = (BOS,) + rand_seq(0, 4) if rng.random() < 0.9 else (BOS,)
             if mode == "base":
                 Z = [] if i % 10 == 0 else [rand_tm(i % 7 == 0) for _ in range(int(rng.integers(1, 4)))]
-                probs = base_seq_probs(ckpt, sep, x, Z, y_in)
+                probs = mode_seq_probs("base", ckpt, sep, x, Z, y_in)
             elif mode == "single":
                 z = None if i % 10 == 0 else rand_tm(i % 7 == 0)
-                probs = single_seq_probs(ckpt, sep, x, z, y_in)
+                probs = mode_seq_probs("single", ckpt, sep, x, [] if z is None else [z], y_in)
             elif mode == "average":
                 Z = [rand_tm(i % 7 == 0) for _ in range(int(rng.integers(1, 4)))]
-                probs = average_seq_probs(ckpt, sep, x, Z, y_in)
+                probs = mode_seq_probs("average", ckpt, sep, x, Z, y_in)
             else:
                 Z = [rand_tm(i % 7 == 0) for _ in range(int(rng.integers(1, 4)))]
                 probs = weighted_seq_probs(ckpt, wn, sep, x, Z, y_in)
@@ -290,13 +285,13 @@ def test_criterion_06_ensemble_identities():
     # weighted with uniform weights (zero-init score head) == average, bitwise
     wn = init_weightnet(cfg.d_model, seed=0)
     w_probs = weighted_seq_probs(ckpt, wn, sep, x, Z, (BOS,) + y_pre)
-    a_probs = average_seq_probs(ckpt, sep, x, Z, (BOS,) + y_pre)
+    a_probs = mode_seq_probs("average", ckpt, sep, x, Z, (BOS,) + y_pre)
     id1 = (w_probs == a_probs).all()
 
     # average over K identical TMs == single, bitwise
     same = [Z[0]] * 5
-    avg = predict_average(ckpt, sep, x, same, y_pre)
-    one = predict_single(ckpt, sep, x, Z[0], y_pre)
+    avg = mode_seq_probs("average", ckpt, sep, x, same, (BOS,) + y_pre)[-1]
+    one = mode_seq_probs("single", ckpt, sep, x, Z[:1], (BOS,) + y_pre)[-1]
     id2 = (avg == one).all()
 
     # gate endpoints return the component distributions exactly

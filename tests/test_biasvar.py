@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tmlab.biasvar import (
     FULL_SCALE_REFERENCE,
     BiasVarModelSpec,
-    ce_from_dists,
     decompose,
     estimate_bias_variance,
     geometric_mean_dist,
@@ -19,6 +18,7 @@ from tmlab.biasvar import (
 )
 from tmlab.corpus import EOS, subset, synth_task
 from tmlab.errors import DataError
+from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import ModelConfig, TrainConfig
 
 
@@ -106,7 +106,7 @@ def test_decompose_identical_models_zero_variance():
     e = decompose([d, d.copy(), d.copy()], golds, truncate=100)
     assert e.var_forward == pytest.approx(0.0, abs=1e-12)
     assert e.var_reverse == pytest.approx(0.0, abs=1e-12)
-    assert e.loss == pytest.approx(ce_from_dists(d, golds), abs=1e-12)
+    assert e.loss == pytest.approx(token_ce_from_dists(d, golds), abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

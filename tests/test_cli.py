@@ -114,6 +114,23 @@ def test_train_translate_eval_roundtrip(workdir, capsys):
     assert doc["nats_per_token"] > 0
 
 
+def test_translate_bad_input_exits_2(workdir, capsys):
+    run("corpus", "synth", "--pairs", "40", "--templates", "3", "--lexicon", "8",
+        "--seed", "2", "--out", "c.tsv")
+    assert run("train", "--tsv", "c.tsv", "--arch", "dual_enc", "--mode", "topk",
+               "--topk", "2", "--seed", "0", "--out", "m.ckpt", "--quiet", *TRAIN_FLAGS) == 0
+    run("index", "build", "--tsv", "c.tsv", "--out", "c.idx")
+    common = ["--index", "c.idx", "--ckpt", "m.ckpt", "--vocab", "m.ckpt.vocab", "--out", "h.txt"]
+    Path("in.txt").write_text("s1 s2\n\ns3\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("translate", "--mode", "base", "--topk", "2", "--input", "in.txt", *common) == 2
+    err = capsys.readouterr().err
+    assert "empty source" in err and len(err.strip().splitlines()) == 1
+    Path("in.txt").write_text("s1 s2\n", encoding="utf-8")
+    assert run("translate", "--mode", "average", "--topk", "0", "--input", "in.txt", *common) == 2
+    assert "at least one TM" in capsys.readouterr().err
+
+
 def test_finetune_weight_cli(workdir):
     run("corpus", "synth", "--pairs", "60", "--templates", "3", "--lexicon", "8",
         "--seed", "4", "--out", "c.tsv")

@@ -12,8 +12,7 @@ from tmlab.corpus import (
     synth_task,
 )
 from tmlab.ensemble import (
-    average_seq_probs,
-    base_seq_probs,
+    PREDICT_MODES,
     beam_decode,
     decode,
     finetune_weighted,
@@ -23,13 +22,8 @@ from tmlab.ensemble import (
     make_step_fn,
     mix_components,
     mode_seq_probs,
-    predict_average,
-    predict_base,
-    predict_single,
-    predict_weighted,
     save_weightnet,
     sequence_score,
-    single_seq_probs,
     tm_ids,
     weighted_seq_probs,
     weightnet_scores,
@@ -65,7 +59,7 @@ def _zs(index, x, k):
 def test_predict_base_empty_tm_equals_vanilla(setup):
     _, vocab, ckpt, enc, _ = setup
     p = enc[0]
-    a = predict_base(ckpt, vocab.sep_id, p.source, [], p.target[:2])
+    a = mode_seq_probs("base", ckpt, vocab.sep_id, p.source, [], (BOS,) + p.target[:2])[-1]
     b = mode_seq_probs("vanilla", ckpt, vocab.sep_id, p.source, [], (BOS,) + p.target[:2])[-1]
     np.testing.assert_array_equal(a, b)
     assert a.sum() == pytest.approx(1.0, abs=1e-6)
@@ -75,8 +69,8 @@ def test_predict_base_deterministic(setup):
     _, vocab, ckpt, enc, index = setup
     p = enc[0]
     Z = _zs(index, p.source, 3)
-    a = predict_base(ckpt, vocab.sep_id, p.source, Z, p.target[:1])
-    b = predict_base(ckpt, vocab.sep_id, p.source, Z, p.target[:1])
+    a = mode_seq_probs("base", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target[:1])[-1]
+    b = mode_seq_probs("base", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target[:1])[-1]
     np.testing.assert_array_equal(a, b)
 
 
@@ -84,10 +78,10 @@ def test_predict_single_matches_base_with_one_tm(setup):
     _, vocab, ckpt, enc, index = setup
     p = enc[1]
     Z = _zs(index, p.source, 1)
-    a = predict_single(ckpt, vocab.sep_id, p.source, Z[0], p.target[:1])
-    b = predict_base(ckpt, vocab.sep_id, p.source, Z[:1], p.target[:1])
+    a = mode_seq_probs("single", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target[:1])[-1]
+    b = mode_seq_probs("base", ckpt, vocab.sep_id, p.source, Z[:1], (BOS,) + p.target[:1])[-1]
     np.testing.assert_array_equal(a, b)
-    c = predict_single(ckpt, vocab.sep_id, p.source, None, p.target[:1])
+    c = mode_seq_probs("single", ckpt, vocab.sep_id, p.source, [], (BOS,) + p.target[:1])[-1]
     assert c.sum() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -95,17 +89,20 @@ def test_average_identities(setup):
     _, vocab, ckpt, enc, index = setup
     p = enc[2]
     Z = _zs(index, p.source, 3)
+    y_in = (BOS,) + p.target[:2]
     # K identical TMs collapse to the single prediction, bit for bit
     same = [Z[0]] * 4
-    avg = predict_average(ckpt, vocab.sep_id, p.source, same, p.target[:2])
-    one = predict_single(ckpt, vocab.sep_id, p.source, Z[0], p.target[:2])
+    avg = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, same, y_in)[-1]
+    one = mode_seq_probs("single", ckpt, vocab.sep_id, p.source, Z[:1], y_in)[-1]
     np.testing.assert_array_equal(avg, one)
     # K=1 average is the single prediction
     np.testing.assert_array_equal(
-        predict_average(ckpt, vocab.sep_id, p.source, Z[:1], p.target[:2]), one
+        mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z[:1], y_in)[-1], one
     )
     with pytest.raises(DataError):
-        predict_average(ckpt, vocab.sep_id, p.source, [], p.target[:2])
+        mode_seq_probs("average", ckpt, vocab.sep_id, p.source, [], y_in)
+    with pytest.raises(DataError):
+        decode("average", ckpt, p.source, index, k=0, sep_id=vocab.sep_id)
 
 
 def test_average_hand_arithmetic():
@@ -124,7 +121,7 @@ def test_weighted_uniform_equals_average_bitwise(setup):
     y_in = (BOS,) + p.target
     w_probs, weights = weighted_seq_probs(ckpt, wn, vocab.sep_id, p.source, Z, y_in,
                                           return_weights=True)
-    a_probs = average_seq_probs(ckpt, vocab.sep_id, p.source, Z, y_in)
+    a_probs = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, y_in)
     np.testing.assert_array_equal(w_probs, a_probs)
     np.testing.assert_array_equal(weights, np.full_like(weights, 1.0 / len(Z)))
 
@@ -163,7 +160,8 @@ def test_weightnet_d_model_guard(setup):
     wn = init_weightnet(ckpt.config.d_model * 2, seed=0)
     Z = _zs(index, enc[0].source, 2)
     with pytest.raises(DataError, match="d_model"):
-        predict_weighted(ckpt, wn, vocab.sep_id, enc[0].source, Z, enc[0].target[:1])
+        mode_seq_probs("weighted", ckpt, vocab.sep_id, enc[0].source, Z,
+                       (BOS,) + enc[0].target[:1], weightnet=wn)[-1]
 
 
 def test_weightnet_roundtrip(tmp_path, setup):
@@ -217,7 +215,7 @@ def test_finetune_zero_updates_is_average(setup):
     Z = _zs(index, p.source, 2)
     w = weighted_seq_probs(ft.checkpoint, ft.weightnet, vocab.sep_id, p.source, Z,
                            (BOS,) + p.target)
-    a = average_seq_probs(ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
+    a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
     np.testing.assert_array_equal(w, a)
 
 
@@ -248,7 +246,7 @@ def test_greedy_and_beam_on_toy_table():
         (5,): [0.0, 0.0, 0.95, 0.0, 0.05, 0.0],
     }
     step = _toy_step_fn(table, V)
-    g = greedy_decode(step, max_new=8)
+    g, _ = greedy_decode(step, max_new=8)
     assert g == (4,)
     b1 = beam_decode(step, width=1, max_new=8)
     assert b1[0] == g
@@ -282,12 +280,72 @@ def test_decode_modes_on_trained_copy_model():
 
 
 def test_mode_seq_probs_rejects_unknown(setup):
-    _, vocab, ckpt, enc, _ = setup
+    _, vocab, ckpt, enc, index = setup
     with pytest.raises(DataError):
         mode_seq_probs("mystery", ckpt, vocab.sep_id, enc[0].source, [], (BOS,))
     with pytest.raises(DataError):
         mode_seq_probs("weighted", ckpt, vocab.sep_id, enc[0].source,
                        [tm_ids_stub()], (BOS,))
+    with pytest.raises(DataError, match="weightnet"):
+        decode("weighted", ckpt, enc[0].source, index, k=2, sep_id=vocab.sep_id)
+    with pytest.raises(DataError):
+        decode("weighted", ckpt, enc[0].source, index, k=0, sep_id=vocab.sep_id,
+               weightnet=init_weightnet(ckpt.config.d_model, seed=0))
+
+
+@pytest.fixture(scope="module")
+def arch_ckpts(setup):
+    _, vocab, dual, _, _ = setup
+    cfg = ModelConfig(vocab_size=len(vocab), arch="single_enc", **TINY)
+    params = init_params(cfg, seed=9)
+    params["out_w"].data = np.random.default_rng(2).normal(
+        scale=0.4, size=params["out_w"].data.shape).astype(np.float32)
+    single = Checkpoint(params=params, config=cfg, meta={"arch": "single_enc"})
+    wn = init_weightnet(cfg.d_model, seed=1)
+    rng = np.random.default_rng(7)
+    for k in ("wn.score_w", "wn.score_b"):
+        wn[k].data = rng.normal(scale=0.5, size=wn[k].data.shape).astype(np.float32)
+    return {"dual_enc": dual, "single_enc": single}, wn
+
+
+@pytest.mark.parametrize("mode", PREDICT_MODES)
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_step_fn_and_decode_follow_mode_seq_probs(setup, arch_ckpts, arch, mode):
+    if arch == "single_enc" and mode == "base":
+        pytest.skip("three TMs joined into one source exceed max_len")
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    p = enc[6]
+    k = {"vanilla": 0, "single": 1}.get(mode, 3)
+    Z = _zs(index, p.source, k)
+    y_in = (BOS,) + p.target
+    step = make_step_fn(mode, ckpt, sep, p.source, Z, wn)
+    for t in range(1, len(y_in) + 1):
+        np.testing.assert_array_equal(
+            step(y_in[1:t]), mode_seq_probs(mode, ckpt, sep, p.source, Z, y_in[:t], wn)[-1])
+    toks, score = decode(mode, ckpt, p.source, index, k, sep, weightnet=wn, max_new=6)
+    assert score == sequence_score(step, toks)
+    b1, _ = decode(mode, ckpt, p.source, index, k, sep, strategy="beam", beam_width=1,
+                   weightnet=wn, max_new=6)
+    assert b1 == toks
+
+
+def test_finetune_weighted_single_enc(setup, arch_ckpts):
+    task, vocab, _, enc, index = setup
+    ckpt = arch_ckpts[0]["single_enc"]
+    valid_c = subset(task.corpus, range(20))
+    ft = finetune_weighted(ckpt, valid_c, vocab, task.corpus, updates=1, seed=0, k=2,
+                           batch_size=8)
+    assert [u for u, _ in ft.curve] == [0, 1]
+    assert all(np.isfinite(loss) for _, loss in ft.curve)
+    ft0 = finetune_weighted(ckpt, valid_c, vocab, task.corpus, updates=0, seed=0, k=2)
+    p = enc[5]
+    Z = _zs(index, p.source, 2)
+    w = mode_seq_probs("weighted", ft0.checkpoint, vocab.sep_id, p.source, Z,
+                       (BOS,) + p.target, weightnet=ft0.weightnet)
+    a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
+    np.testing.assert_array_equal(w, a)
 
 
 def tm_ids_stub():

@@ -23,7 +23,7 @@ from tmlab.model import (
     copy_distribution,
     dual_encode_memory,
     forward_dual,
-    forward_single_enc,
+    forward_rows,
     forward_vanilla,
     init_params,
     load_checkpoint,
@@ -96,7 +96,7 @@ def test_single_enc_valid_distribution_and_permutation_sensitivity():
     b = build_concat_source((11, 12), [z2, z1], 4, cfg.max_len)
     assert a != b
     y = np.asarray([[BOS, 7, 9]])
-    p = forward_single_enc(params, cfg, np.asarray([list(a)]), y).p.data
+    p = forward_vanilla(params, cfg, np.asarray([list(a)]), y).p.data
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -259,6 +259,29 @@ def test_train_vanilla_loss_decreases_and_deterministic():
     assert hist == ck2.meta["history"]
     for k in ck1.params:
         np.testing.assert_array_equal(ck1.params[k].data, ck2.params[k].data)
+
+
+@pytest.mark.parametrize("mode", ["topk", "single_multi"])
+def test_train_vanilla_rejects_tm_modes_before_retrieval(mode, monkeypatch):
+    from tmlab import model as model_mod
+
+    def no_index(corpus):
+        raise AssertionError("retrieval ran")
+
+    monkeypatch.setattr(model_mod, "build_index", no_index)
+    task = synth_task(n_pairs=12, n_templates=2, lexicon_size=6, seed=0)
+    with pytest.raises(DataError, match="vanilla"):
+        train("vanilla", task.corpus, mode, tiny_cfg(arch="vanilla"), TrainConfig(epochs=1), seed=0)
+
+
+def test_forward_rows_rejects_empty_source_and_vanilla_tms():
+    params = init_params(tiny_cfg(arch="dual_enc"), seed=0)
+    y = np.asarray([[BOS, 7], [BOS, 7]])
+    with pytest.raises(DataError, match="empty source"):
+        forward_rows(params, tiny_cfg(arch="dual_enc"), 4, [(5, 6), ()], [[], []], y)
+    van = tiny_cfg(arch="vanilla")
+    with pytest.raises(DataError, match="vanilla"):
+        forward_rows(init_params(van, seed=0), van, None, [(5,), (6,)], [[], [((5,), (7,))]], y)
 
 
 def test_train_single_multi_epoch_size():
