@@ -611,13 +611,22 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if not raw.startswith(_MAGIC):
         raise DataError(f"{path}: not a TMLAB1 checkpoint")
     rest = raw[len(_MAGIC):]
-    nl = rest.index(b"\n")
-    hlen = int(rest[:nl])
-    header = json.loads(rest[nl + 1 : nl + 1 + hlen].decode("utf-8"))
-    blob = rest[nl + 1 + hlen :]
-    arrays = {}
-    for e in header["tensors"]:
-        buf = blob[e["offset"] : e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(buf, dtype=_DTYPES[e["dtype"]]).reshape(e["shape"])
-        arrays[e["name"]] = arr.astype(e["dtype"])
-    return arrays, header["meta"]
+    try:
+        nl = rest.index(b"\n")
+        hlen = int(rest[:nl])
+        head = rest[nl + 1 : nl + 1 + hlen]
+        if len(head) != hlen:
+            raise ValueError("header is cut short")
+        header = json.loads(head.decode("utf-8"))
+        blob = rest[nl + 1 + hlen :]
+        arrays = {}
+        for e in header["tensors"]:
+            buf = blob[e["offset"] : e["offset"] + e["nbytes"]]
+            if len(buf) != e["nbytes"]:
+                raise ValueError(f"tensor '{e['name']}' is cut short")
+            arr = np.frombuffer(buf, dtype=_DTYPES[e["dtype"]]).reshape(e["shape"])
+            arrays[e["name"]] = arr.astype(e["dtype"])
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: corrupt TMLAB1 checkpoint ({type(e).__name__}: {e})") from None
+    return arrays, meta

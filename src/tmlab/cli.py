@@ -452,9 +452,12 @@ def _cmd_experiment(a, argv) -> int:
 
 
 def _cmd_rerun(a, _argv) -> int:
-    doc = json.loads(Path(a.manifest).read_text(encoding="utf-8"))
-    argv = doc["argv"]
-    if not isinstance(argv, list) or (argv and argv[0] == "rerun"):
+    try:
+        argv = json.loads(Path(a.manifest).read_text(encoding="utf-8"))["argv"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{a.manifest}: not a rerunnable manifest ({type(e).__name__}: {e})") from None
+    if (not isinstance(argv, list) or not all(isinstance(t, str) for t in argv)
+            or (argv and argv[0] == "rerun")):
         raise DataError(f"{a.manifest}: not a rerunnable manifest")
     return run(argv)
 

@@ -13,6 +13,10 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates 0600; give the output the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

@@ -10,6 +10,7 @@ are total-order deterministic.
 
 from __future__ import annotations
 
+import heapq
 import json
 import struct
 import zlib
@@ -41,28 +42,36 @@ TmSet = tuple[TmPair, ...]  # ordered by (similarity desc, pair_id asc), no dup 
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Token-level Levenshtein distance with unit costs."""
+    """Token-level Levenshtein distance with unit costs: bit-parallel (Myers
+    1999, Hyyro 2003) over the shorter side on unbounded Python ints, whose
+    bits above the shorter length never carry down into the ones read."""
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        append = cur.append
-        prev_jm1 = prev[0]
-        for j, cb in enumerate(b, 1):
-            pj = prev[j]
-            best = prev_jm1 if ca == cb else prev_jm1 + 1
-            if pj + 1 < best:
-                best = pj + 1
-            last = cur[j - 1] + 1
-            if last < best:
-                best = last
-            append(best)
-            prev_jm1 = pj
-        prev = cur
-    return prev[-1]
+    peq: dict = {}
+    bit = 1
+    for tok in b:
+        peq[tok] = peq.get(tok, 0) | bit
+        bit <<= 1
+    high = bit >> 1
+    pv, mv, dist = bit - 1, 0, m
+    get = peq.get
+    for tok in a:
+        eq = get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            dist += 1
+        elif mh & high:
+            dist -= 1
+        ph = (ph << 1) | 1
+        pv = (mh << 1) | ~(xv | ph)
+        mv = ph & xv
+    return dist
 
 
 def similarity(x: Sequence, x_tm: Sequence) -> float:
@@ -109,12 +118,9 @@ def build_index(corpus: ParallelCorpus) -> RetrievalIndex:
     )
 
 
-def candidates(index: RetrievalIndex, x: Sequence, limit: int = DEFAULT_POOL) -> list[int]:
-    """Top-`limit` pair ids by bag-of-tokens overlap with x.
-
-    Ties break by ascending pair_id; if fewer than `limit` pairs share a
-    token, the pool is padded with the remaining ids in ascending order.
-    """
+def _scored_pool(index: RetrievalIndex, x: Sequence, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """`candidates` and their overlaps: the key -overlap*n + pair_id is unique
+    and sorts zero-overlap padding last, so one partial selection does."""
     if limit < 1:
         raise DataError(f"limit must be >= 1, got {limit}")
     n = len(index)
@@ -123,17 +129,19 @@ def candidates(index: RetrievalIndex, x: Sequence, limit: int = DEFAULT_POOL) ->
         ids = index.postings.get(tok)
         if ids is not None:
             scores[ids] += np.minimum(cx, index.counts[tok])
-    hit_ids = np.flatnonzero(scores)
-    order = hit_ids[np.lexsort((hit_ids, -scores[hit_ids]))]
-    pool = order[:limit].tolist()
-    if len(pool) < limit:
-        chosen = set(pool)
-        for pid in range(n):
-            if pid not in chosen:
-                pool.append(pid)
-                if len(pool) == limit:
-                    break
-    return pool
+    key = np.arange(n, dtype=np.int64) - scores * n
+    top = np.argpartition(key, min(limit, n) - 1)[:limit]
+    ids = top[np.argsort(key[top])]
+    return ids, scores[ids]
+
+
+def candidates(index: RetrievalIndex, x: Sequence, limit: int = DEFAULT_POOL) -> list[int]:
+    """Top-`limit` pair ids by bag-of-tokens overlap with x.
+
+    Ties break by ascending pair_id; if fewer than `limit` pairs share a
+    token, the pool is padded with the remaining ids in ascending order.
+    """
+    return _scored_pool(index, x, limit)[0].tolist()
 
 
 def rank_by_similarity(index: RetrievalIndex, x: Sequence, pair_ids: Sequence[int]) -> list[TmPair]:
@@ -158,22 +166,34 @@ def retrieve_topk(
     With `exclude_exact`, candidates whose source is token-identical to
     x are dropped (training-time self-exclusion). May return fewer than
     k pairs on small corpora.
+
+    Exact pruning: dist(x, z) >= max(|x|, |z|) - overlap, so the similarity
+    formula on that bound caps sim(x, z); candidates go by (bound desc,
+    pair_id asc) until a bound is below the k-th best, as a tie may still win.
     """
     if k < 0:
         raise DataError(f"k must be >= 0, got {k}")
     if k == 0:
         return ()
     xt = tuple(x)
-    out = []
-    for z in rank_by_similarity(index, x, candidates(index, x, limit=pool)):
-        if exclude_pair_id is not None and z.pair_id == exclude_pair_id:
-            continue
-        if exclude_exact and z.source == xt:
-            continue
-        out.append(z)
-        if len(out) == k:
+    ids, overlap = _scored_pool(index, x, pool)
+    longest = np.maximum(index.lengths[ids], len(xt))
+    # a zero length is only reached with two empty sides, which similarity rejects
+    bound = 1.0 - (longest - overlap) / np.maximum(longest, 1)
+    order = np.lexsort((ids, -bound))
+    best: list = []  # min-heap of (sim, -pair_id): the root is the k-th best
+    for b, pid in zip(bound[order].tolist(), ids[order].tolist()):
+        if len(best) == k and b < best[0][0]:
             break
-    return tuple(out)
+        src = index.sources[pid]
+        sim = similarity(x, src)
+        if (exclude_pair_id is not None and pid == exclude_pair_id) or (exclude_exact and src == xt):
+            continue
+        heapq.heappush(best, (sim, -pid))
+        if len(best) > k:
+            heapq.heappop(best)
+    best.sort(reverse=True)
+    return tuple(index.pair(-npid, sim) for sim, npid in best)
 
 
 def brute_force_topk(
@@ -250,11 +270,18 @@ def load_index_corpus(path: str | Path) -> ParallelCorpus:
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise DataError(f"{path}: not a TMIDX1 index file")
-    (n,) = struct.unpack("<I", raw[len(_MAGIC) : len(_MAGIC) + 4])
-    body = json.loads(zlib.decompress(raw[len(_MAGIC) + 4 : len(_MAGIC) + 4 + n]).decode("utf-8"))
-    return corpus_from_pairs(
-        (tuple(s), tuple(t)) for s, t in zip(body["sources"], body["targets"])
-    )
+    try:
+        (n,) = struct.unpack_from("<I", raw, len(_MAGIC))
+        packed = raw[len(_MAGIC) + 4 :]
+        if len(packed) != n:
+            raise ValueError(f"body is {len(packed)} bytes, header says {n}")
+        body = json.loads(zlib.decompress(packed).decode("utf-8"))
+        sources, targets = body["sources"], body["targets"]
+        if not (type(sources) is list and type(targets) is list and len(sources) == len(targets)):
+            raise ValueError("sources and targets must be lists of equal length")
+        return corpus_from_pairs((tuple(s), tuple(t)) for s, t in zip(sources, targets))
+    except (struct.error, zlib.error, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_gradients, max_rel_err
@@ -318,4 +318,32 @@ def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOTAMAGIC whatever")
     with pytest.raises(DataError):
+        ad.load_arrays(p)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_arrays_corrupt_file_raises_data_error(tmp_path, data):
+    good = tmp_path / "good.tmlab"
+    ad.save_arrays(good, {"b": np.arange(3, dtype=np.float64),
+                          "w": np.ones((2, 3), dtype=np.float32)}, {"arch": "vanilla"})
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.tmlab"
+    bad.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(DataError):
+        ad.load_arrays(bad)
+    flipped = bytearray(raw)
+    flipped[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255))
+    bad.write_bytes(bytes(flipped))
+    try:
+        ad.load_arrays(bad)  # a flipped tensor byte or meta digit still loads
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("after_magic", [b"", b"12", b"x\n{}", b"2\n{}", b'30\n{"tensors": [], "meta": {}}'])
+def test_load_arrays_rejects_bad_header(tmp_path, after_magic):
+    p = tmp_path / "bad.tmlab"
+    p.write_bytes(b"TMLAB1\n" + after_magic)
+    with pytest.raises(DataError, match="corrupt TMLAB1 checkpoint"):
         ad.load_arrays(p)

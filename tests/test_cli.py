@@ -42,6 +42,15 @@ def test_data_errors_exit_2(workdir, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest", ['{"argv": ["corpus"', '{"cmd": []}', '["corpus"]',
+                                      '{"argv": [1, 2]}', '{"argv": ["rerun"]}'])
+def test_rerun_malformed_manifest_exits_2(workdir, capsys, manifest):
+    Path("m.json").write_text(manifest, encoding="utf-8")
+    assert run("rerun", "--manifest", "m.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: m.json: not a rerunnable manifest") and err.count("\n") == 1
+
+
 def test_synth_split_index_retrieve_pipeline(workdir, capsys):
     assert run("corpus", "synth", "--pairs", "60", "--templates", "4", "--lexicon", "8",
                "--seed", "3", "--out", "c.tsv", "--manifest-out", "c.map.tsv") == 0

@@ -1,8 +1,10 @@
 import collections
+import struct
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tmlab.corpus import corpus_from_pairs, synth_task
@@ -13,6 +15,7 @@ from tmlab.retrieval import (
     candidates,
     edit_distance,
     load_index,
+    rank_by_similarity,
     retrieve_topk,
     sample_tm,
     sample_tm_probs,
@@ -48,9 +51,18 @@ def _dp_oracle(a, b):
     return d[n][m]
 
 
-@settings(max_examples=80)
-@given(token_seqs, token_seqs)
-def test_edit_distance_matches_full_table(a, b):
+# up to 80 tokens over 2..12 symbols: bit masks wider than 64 bits, tokens
+# missing from one side, empty sides
+wide_seq_pairs = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from("abcdefghijkl"[:n]), max_size=80),
+    st.lists(st.sampled_from("abcdefghijkl"[:n]), max_size=80),
+))
+
+
+@settings(max_examples=150)
+@given(wide_seq_pairs)
+def test_edit_distance_matches_full_table(ab):
+    a, b = ab
     assert edit_distance(a, b) == _dp_oracle(a, b)
 
 
@@ -181,6 +193,44 @@ def test_retrieve_topk_matches_brute_force_on_synth():
     assert misses <= 2
 
 
+def _unpruned_topk(index, x, k, exclude_pair_id, exclude_exact, pool):
+    """Rank the whole pool, filter, take the first k: no pruning."""
+    xt = tuple(x)
+    kept = [z for z in rank_by_similarity(index, x, candidates(index, x, pool))
+            if z.pair_id != exclude_pair_id and not (exclude_exact and z.source == xt)]
+    return tuple(kept[:k])
+
+
+def _lexsort_pool(index, x, limit):
+    """Pool rule by a full sort of every hit, then zero-overlap padding."""
+    scores = np.zeros(len(index), dtype=np.int64)
+    for tok, cx in collections.Counter(x).items():
+        if tok in index.postings:
+            scores[index.postings[tok]] += np.minimum(cx, index.counts[tok])
+    hit_ids = np.flatnonzero(scores)
+    pool = hit_ids[np.lexsort((hit_ids, -scores[hit_ids]))][:limit].tolist()
+    pool += [pid for pid in range(len(index)) if scores[pid] == 0][: limit - len(pool)]
+    return pool
+
+
+# small stores over a 4-symbol alphabet: many duplicate sources, many ties
+small_sources = st.lists(st.sampled_from("abcd"), min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.lists(small_sources, min_size=1, max_size=24), small_sources, st.data())
+def test_pruned_topk_equals_unpruned_reference(store, x, data):
+    n = len(store)
+    index = build_index(corpus_from_pairs([(s, ["t"]) for s in store]))
+    k = data.draw(st.integers(1, n + 2), label="k")
+    pool = data.draw(st.integers(1, 2 * n), label="pool")
+    exclude = data.draw(st.none() | st.integers(0, n - 1), label="exclude_pair_id")
+    exact = data.draw(st.booleans(), label="exclude_exact")
+    assert candidates(index, x, pool) == _lexsort_pool(index, x, pool)
+    assert retrieve_topk(index, x, k, exclude_pair_id=exclude, exclude_exact=exact, pool=pool) \
+        == _unpruned_topk(index, x, k, exclude, exact, pool)
+
+
 def test_index_roundtrip(tmp_path):
     task = synth_task(120, 4, 10, seed=2)
     idx = build_index(task.corpus)
@@ -233,3 +283,36 @@ def test_sample_tm_single_candidate_and_bad_temperature():
     assert sample_tm(idx, ["a"], 1.0, rng).pair_id == 0
     with pytest.raises(DataError):
         sample_tm(idx, ["a"], 0.0, rng)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_index_corrupt_file_raises_data_error(tmp_path, data):
+    good = tmp_path / "good.idx"
+    save_index(build_index(_tiny_corpus()), good)
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(DataError):
+        load_index(bad)
+    flipped = bytearray(raw)
+    flipped[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255))
+    bad.write_bytes(bytes(flipped))
+    try:
+        idx = load_index(bad)
+    except DataError:
+        return
+    # a flip the checksum cannot see (unused bits of the last deflate byte)
+    assert idx.sources == load_index(good).sources
+
+
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe", b"{not json", b"[]", b'{"sources": []}', b'{"sources": {}, "targets": {}}',
+    b'{"sources": [["a"]], "targets": []}', b'{"sources": [1], "targets": [2]}',
+])
+def test_load_index_rejects_malformed_body(tmp_path, body):
+    packed = zlib.compress(body)
+    p = tmp_path / "bad.idx"
+    p.write_bytes(b"TMIDX1\x00" + struct.pack("<I", len(packed)) + packed)
+    with pytest.raises(DataError, match="corrupt TMIDX1 index"):
+        load_index(p)
