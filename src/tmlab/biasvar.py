@@ -29,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, SEP_TOKEN, Vocab, build_vocab, encode_corpus, split_equal
-from tmlab.ensemble import finetune_weighted, mode_seq_probs, tm_ids
+from tmlab.ensemble import mode_seq_probs, tm_ids, train_family
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
-from tmlab.model import Checkpoint, ModelConfig, TrainConfig, train
+from tmlab.model import ModelConfig, TrainConfig
 from tmlab.retrieval import build_index, retrieve_topk
 from tmlab.seeding import subseed, substream
 
@@ -95,50 +95,8 @@ def kl(p: np.ndarray, q: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TestPoint:
-    """One next-token prediction task: source, target prefix, gold token."""
-
-    x: tuple[int, ...]
-    prefix: tuple[int, ...]
-    gold: int
-
-
-def points_from_pair(source: tuple[int, ...], target: tuple[int, ...]) -> list[TestPoint]:
-    """All teacher-forced positions of a pair, final EOS step included."""
-    full = tuple(target) + (EOS,)
-    return [TestPoint(x=tuple(source), prefix=full[:t], gold=full[t]) for t in range(len(full))]
-
-
-# ---------------------------------------------------------------------------
 # Split-model estimator
 # ---------------------------------------------------------------------------
-
-_TRAIN_MODE_FOR = {
-    "vanilla": "none",
-    "base": "topk",
-    "single": "single_multi",
-    "average": "single_multi",
-    "weighted": "single_multi",
-}
-
-
-@dataclass(frozen=True)
-class BiasVarModelSpec:
-    """One model variant to estimate: how it trains and how it predicts."""
-
-    name: str
-    predict_mode: str              # vanilla | base | single | average | weighted
-    arch: str = "dual_enc"
-    k_tms: int = 5
-
-    @property
-    def train_mode(self) -> str:
-        return _TRAIN_MODE_FOR[self.predict_mode]
-
 
 @dataclass
 class BiasVarEntry:
@@ -243,56 +201,41 @@ def decompose(dists_by_model: Sequence[np.ndarray], golds: np.ndarray,
 
 
 def _run_split_unit(payload: dict) -> dict[str, np.ndarray]:
-    """Train and evaluate one (split, repetition) unit; returns per-spec dists."""
-    specs: Sequence[BiasVarModelSpec] = payload["specs"]
+    """Train and evaluate one (split, repetition) unit; returns per-mode dists."""
+    modes: Sequence[str] = payload["modes"]
     split_corpus: ParallelCorpus = payload["split"]
     vocab: Vocab = payload["vocab"]
     enc_test: ParallelCorpus = payload["enc_test"]
-    sub: int = payload["sub_seed"]
+    tc: TrainConfig = payload["train_cfg"]
     if payload["verbose"]:
         print(f"[biasvar] unit {payload['tag']}: training on {len(split_corpus)} pairs",
               file=sys.stderr)
 
     index = build_index(encode_corpus(split_corpus, vocab))
-    max_k = max(s.k_tms for s in specs)
-    retrieved = [retrieve_topk(index, p.source, max_k) for p in enc_test]
+    retrieved = [[tm_ids(z) for z in retrieve_topk(index, p.source, tc.k_retrieval)]
+                 for p in enc_test]
 
-    backbones: dict[tuple[str, str], Checkpoint] = {}
-    for s in specs:
-        key = (s.arch, s.train_mode)
-        if key not in backbones:
-            tc: TrainConfig = payload["train_cfg"]
-            if payload["match_updates"] and s.train_mode != "single_multi":
-                # single_multi presents each pair k+1 times per epoch; scale the
-                # other modes so every model sees the same optimizer-step budget
-                tc = dataclasses.replace(tc, epochs=tc.epochs * (tc.k_retrieval + 1))
-            backbones[key] = train(
-                s.arch, split_corpus, s.train_mode, payload["config"],
-                tc, sub, vocab=vocab,
-            )
+    def recipe(train_mode: str) -> tuple[str, ModelConfig | None, TrainConfig]:
+        # single_multi presents each pair k+1 times per epoch; scale the
+        # other modes so every model sees the same optimizer-step budget
+        passes = 1 if train_mode == "single_multi" else tc.k_retrieval + 1
+        return "dual_enc", payload["config"], dataclasses.replace(tc, epochs=tc.epochs * passes)
+
+    family = train_family(modes, split_corpus, vocab, recipe, payload["sub_seed"],
+                          payload["valid"], payload["finetune_updates"])
     out: dict[str, np.ndarray] = {}
-    for s in specs:
-        if s.predict_mode == "weighted":
-            ft = finetune_weighted(
-                backbones[(s.arch, "single_multi")], payload["valid"], vocab,
-                split_corpus, updates=payload["finetune_updates"], seed=sub, k=s.k_tms,
-            )
-            ckpt, wn = ft.checkpoint, ft.weightnet
-        else:
-            ckpt, wn = backbones[(s.arch, s.train_mode)], None
-        rows = []
-        for p, Z in zip(enc_test, retrieved):
-            zs = [tm_ids(z) for z in Z[: s.k_tms]]
-            rows.append(mode_seq_probs(
-                s.predict_mode, ckpt, vocab.sep_id, p.source, zs,
-                (BOS,) + p.target, weightnet=wn,
-            ))
-        out[s.name] = np.concatenate(rows, axis=0)
+    for mode in modes:
+        ckpt, wn = family.member(mode)
+        out[mode] = np.concatenate([
+            mode_seq_probs(mode, ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target,
+                           weightnet=wn)
+            for p, Z in zip(enc_test, retrieved)
+        ], axis=0)
     return out
 
 
 def estimate_bias_variance(
-    specs: Sequence[BiasVarModelSpec],
+    modes: Sequence[str],
     corpus: ParallelCorpus,
     test_pairs: ParallelCorpus,
     valid_corpus: ParallelCorpus | None = None,
@@ -303,24 +246,24 @@ def estimate_bias_variance(
     seed: int = 0,
     truncate: int = 100,
     finetune_updates: int = 150,
-    match_updates: bool = True,
     verbose: bool = False,
 ) -> BiasVarReport:
-    """Train k*N split models per spec and decompose their test behavior.
+    """Train k*N split models per prediction mode and decompose their test behavior.
 
-    Each split model retrieves TMs from its own training split, both
-    during training (self-excluded) and at evaluation (plain top-K), so
-    the estimator sees exactly the fluctuation a different training
-    sample would induce. With match_updates (default) every model
-    variant receives the same optimizer-step budget, compensating for
-    the k+1 presentation passes of single-TM training. Units run in
-    parallel when TMLAB_THREADS > 1; results merge in split order
-    either way.
+    Every backbone is a dual encoder, trained as `train_cfg` says; each
+    reads `train_cfg.k_retrieval` TMs per query. Each split model
+    retrieves TMs from its own training split, both during training
+    (self-excluded) and at evaluation (plain top-K), so the estimator
+    sees exactly the fluctuation a different training sample would
+    induce. Every model variant receives the same optimizer-step budget,
+    compensating for the k+1 presentation passes of single-TM training.
+    Units run in parallel when TMLAB_THREADS > 1; results merge in split
+    order either way.
     """
     if k_splits > len(corpus):
         raise DataError(f"cannot split {len(corpus)} pairs into {k_splits} parts")
-    if any(s.predict_mode == "weighted" for s in specs) and valid_corpus is None:
-        raise DataError("weighted spec needs a valid_corpus for fine-tuning")
+    if "weighted" in modes and valid_corpus is None:
+        raise DataError("the weighted mode needs a valid_corpus for fine-tuning")
 
     vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     enc_test = encode_corpus(test_pairs, vocab)
@@ -334,11 +277,10 @@ def estimate_bias_variance(
             sub = subseed(seed, f"split{i}", f"rep{j}")
             seeds_used.append(sub)
             units.append({
-                "specs": tuple(specs), "split": splits[i], "vocab": vocab,
+                "modes": tuple(modes), "split": splits[i], "vocab": vocab,
                 "enc_test": enc_test, "valid": valid_corpus, "config": config,
                 "train_cfg": train_cfg, "sub_seed": sub, "tag": f"{i}.{j}",
                 "finetune_updates": finetune_updates, "verbose": verbose,
-                "match_updates": match_updates,
             })
     workers = min(worker_count(), len(units))
     if workers > 1:
@@ -348,9 +290,9 @@ def estimate_bias_variance(
         results = [_run_split_unit(u) for u in units]
 
     entries = []
-    for s in specs:
-        e = decompose([r[s.name] for r in results], golds, truncate)
-        e.model = s.name
+    for mode in modes:
+        e = decompose([r[mode] for r in results], golds, truncate)
+        e.model = mode
         entries.append(e)
     return BiasVarReport(
         entries=entries,

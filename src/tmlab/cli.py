@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import tmlab
-from tmlab.biasvar import BiasVarModelSpec, estimate_bias_variance
+from tmlab.biasvar import estimate_bias_variance
 from tmlab.corpus import (
     SEP_TOKEN,
     Vocab,
@@ -31,12 +31,13 @@ from tmlab.corpus import (
     synth_task,
     tokenize,
 )
-from tmlab.ensemble import decode, finetune_weighted, load_weightnet, save_weightnet
+from tmlab.ensemble import PREDICT_MODES, decode, finetune_weighted, load_weightnet, save_weightnet
 from tmlab.errors import DataError, NumericError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.experiments import ExperimentConfig, run_experiment
 from tmlab.fileio import atomic_write_text
-from tmlab.model import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint, train
+from tmlab.model import ARCHITECTURES, TRAIN_MODES, ModelConfig, TrainConfig, train
+from tmlab.model import load_checkpoint, save_checkpoint
 from tmlab.retrieval import (
     RetrievalIndex,
     build_index,
@@ -94,7 +95,13 @@ def _train_config(a) -> TrainConfig:
 
 def _vocab_index(path: str | None, vocab: Vocab) -> RetrievalIndex | None:
     """The index of a TMIDX1 file, built once over its pairs as vocab ids."""
-    return build_index(encode_corpus(load_index_corpus(path), vocab)) if path else None
+    if not path:
+        return None
+    corpus = load_index_corpus(path)
+    try:
+        return build_index(encode_corpus(corpus, vocab))
+    except TypeError as e:  # a token that cannot be hashed
+        raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None
 
 
 def build_parser() -> _Parser:
@@ -142,8 +149,8 @@ def build_parser() -> _Parser:
     # train ------------------------------------------------------------------
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--tsv", required=True)
-    t.add_argument("--arch", choices=("vanilla", "single_enc", "dual_enc"), default="dual_enc")
-    t.add_argument("--mode", choices=("none", "topk", "single_multi"), default="none")
+    t.add_argument("--arch", choices=ARCHITECTURES, default="dual_enc")
+    t.add_argument("--mode", choices=TRAIN_MODES, default="none")
     t.add_argument("--datastore-tsv", help="TM datastore; defaults to the training TSV")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--vocab", help="existing vocab file (default: build from TSV)")
@@ -168,8 +175,7 @@ def build_parser() -> _Parser:
 
     # translate ----------------------------------------------------------------
     tr = sub.add_parser("translate", help="decode sentences")
-    tr.add_argument("--mode", choices=("base", "single", "average", "weighted", "vanilla"),
-                    default="single")
+    tr.add_argument("--mode", choices=PREDICT_MODES, default="single")
     tr.add_argument("--topk", type=int, default=5)
     tr.add_argument("--beam", type=int, default=1, help="beam width; 1 decodes greedily")
     tr.add_argument("--index", help="retrieval index (required unless --mode vanilla)")
@@ -190,8 +196,7 @@ def build_parser() -> _Parser:
     e_ppl.add_argument("--ckpt", required=True)
     e_ppl.add_argument("--vocab", required=True)
     e_ppl.add_argument("--tsv", required=True)
-    e_ppl.add_argument("--mode", choices=("vanilla", "base", "single", "average", "weighted"),
-                       default="vanilla")
+    e_ppl.add_argument("--mode", choices=PREDICT_MODES, default="vanilla")
     e_ppl.add_argument("--index")
     e_ppl.add_argument("--topk", type=int, default=5)
     e_ppl.add_argument("--weightnet")
@@ -203,7 +208,7 @@ def build_parser() -> _Parser:
     bv.add_argument("--test-tsv", required=True)
     bv.add_argument("--valid-tsv", help="needed when estimating the weighted model")
     bv.add_argument("--models", default="vanilla,base",
-                    help="comma list from vanilla,base,single,average,weighted")
+                    help="comma list from " + ",".join(PREDICT_MODES))
     bv.add_argument("--splits", type=int, default=4)
     bv.add_argument("--reps", type=int, default=1)
     bv.add_argument("--seed", type=int, default=0)
@@ -350,9 +355,8 @@ def _cmd_translate(a, argv) -> int:
     out_lines = []
     for line in Path(a.input).read_text(encoding="utf-8").splitlines():
         ids = vocab.encode(tokenize(line))
-        k = a.topk if a.mode != "single" else 1
-        toks, score = decode(a.mode, ckpt, ids, index, k if a.mode != "vanilla" else 0,
-                             sep, strategy=strategy, beam_width=a.beam, weightnet=wn)
+        toks, score = decode(a.mode, ckpt, ids, index, a.topk, sep, strategy=strategy,
+                             beam_width=a.beam, weightnet=wn)
         text = " ".join(vocab.decode(toks))
         out_lines.append(f"{text}\t{score:.6f}" if a.scores else text)
     atomic_write_text(a.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
@@ -400,16 +404,14 @@ def _cmd_biasvar(a, argv) -> int:
     corpus = load_tsv(a.tsv)
     test_pairs = load_tsv(a.test_tsv)
     valid = load_tsv(a.valid_tsv) if a.valid_tsv else None
-    names = [m.strip() for m in a.models.split(",") if m.strip()]
-    specs = []
-    for name in names:
-        if name not in ("vanilla", "base", "single", "average", "weighted"):
-            raise UsageError(f"unknown model '{name}'")
-        specs.append(BiasVarModelSpec(name=name, predict_mode=name, k_tms=a.topk))
+    modes = [m.strip() for m in a.models.split(",") if m.strip()]
+    for mode in modes:
+        if mode not in PREDICT_MODES:
+            raise UsageError(f"unknown model '{mode}'")
     vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     cfg = ModelConfig.from_attrs(a, len(vocab), "dual_enc")
     report = estimate_bias_variance(
-        specs, corpus, test_pairs, valid_corpus=valid, config=cfg,
+        modes, corpus, test_pairs, valid_corpus=valid, config=cfg,
         train_cfg=_train_config(a), k_splits=a.splits, n_per_split=a.reps,
         seed=a.seed, truncate=a.truncate, finetune_updates=a.finetune_updates,
         verbose=not a.quiet,
@@ -428,7 +430,12 @@ def _cmd_biasvar(a, argv) -> int:
 def _cmd_experiment(a, argv) -> int:
     base: dict = {}
     if a.config:
-        base = json.loads(Path(a.config).read_text(encoding="utf-8"))
+        try:
+            base = json.loads(Path(a.config).read_text(encoding="utf-8"))
+        except ValueError as e:
+            raise DataError(f"{a.config}: not valid JSON ({e})") from None
+        if type(base) is not dict:
+            raise DataError(f"{a.config}: a config must be a JSON object")
     base["scenario"] = a.scenario.replace("-", "_")
     overrides = {
         "out_dir": a.out_dir, "seed": a.seed, "synth_pairs": a.synth_pairs,

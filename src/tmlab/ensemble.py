@@ -1,4 +1,5 @@
-"""Inference-time prediction modes and the weighted-ensemble fine-tune.
+"""Inference-time prediction modes, the weighted-ensemble fine-tune, and
+the family of checkpoints the modes read.
 
 Modes over a TM-augmented checkpoint:
 
@@ -31,15 +32,22 @@ from tmlab.corpus import BOS, EOS, PAD, ParallelCorpus, Vocab, encode_corpus
 from tmlab.errors import DataError, NumericError
 from tmlab.model import (
     Checkpoint,
+    ModelConfig,
+    TrainConfig,
     _pad_batch,
     _xavier,
     forward_rows,
     tm_state,
+    train,
 )
 from tmlab.retrieval import RetrievalIndex, TmPair, build_index, retrieve_topk
 from tmlab.seeding import substream
 
-PREDICT_MODES = ("vanilla", "base", "single", "average", "weighted")
+# The training mode of the backbone each prediction mode reads; `weighted`
+# reads a fine-tuned copy of its backbone.
+BACKBONE = {"vanilla": "none", "base": "topk", "single": "single_multi",
+            "average": "single_multi", "weighted": "single_multi"}
+PREDICT_MODES = tuple(BACKBONE)
 
 TmIds = tuple[tuple[int, ...], tuple[int, ...]]  # (source ids, target ids)
 
@@ -310,6 +318,54 @@ def finetune_weighted(
         curve=curve,
         selected_update=best[1],
     )
+
+
+# ---------------------------------------------------------------------------
+# The model family a set of prediction modes reads
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Family:
+    backbones: dict[str, Checkpoint]      # keyed by training mode
+    finetune: FinetuneResult | None       # the weighted member, when requested
+
+    def member(self, mode: str) -> tuple[Checkpoint, dict[str, ad.Tensor] | None]:
+        """The checkpoint and weightnet that `mode` predicts with."""
+        if mode not in BACKBONE:
+            raise DataError(f"unknown prediction mode '{mode}'")
+        if mode == "weighted":
+            return self.finetune.checkpoint, self.finetune.weightnet
+        return self.backbones[BACKBONE[mode]], None
+
+
+def train_family(
+    modes: Sequence[str],
+    corpus: ParallelCorpus,
+    vocab: Vocab,
+    recipe: Callable[[str], tuple[str, ModelConfig | None, TrainConfig]],
+    seed: int,
+    valid: ParallelCorpus | None = None,
+    finetune_updates: int = 0,
+) -> Family:
+    """Train each backbone `modes` read once, then fine-tune `weighted`.
+
+    `recipe(train_mode)` gives a backbone's (arch, model config, train
+    config). The fine-tune retrieves as many TMs per query, and smooths
+    labels as much, as its backbone's training did.
+    """
+    unknown = [m for m in modes if m not in BACKBONE]
+    if unknown:
+        raise DataError(f"unknown prediction modes {unknown}; choose from {PREDICT_MODES}")
+    recipes = {tm: recipe(tm) for tm in dict.fromkeys(BACKBONE[m] for m in modes)}
+    backbones = {tm: train(arch, corpus, tm, cfg, tc, seed, vocab=vocab)
+                 for tm, (arch, cfg, tc) in recipes.items()}
+    finetune = None
+    if "weighted" in modes:
+        tc = recipes[BACKBONE["weighted"]][2]
+        finetune = finetune_weighted(backbones[BACKBONE["weighted"]], valid, vocab, corpus,
+                                     updates=finetune_updates, seed=seed, k=tc.k_retrieval,
+                                     label_smoothing=tc.label_smoothing)
+    return Family(backbones, finetune)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from tmlab.corpus import (
     SEP_TOKEN,
@@ -35,16 +33,31 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
-from tmlab.ensemble import FinetuneResult, decode, finetune_weighted, save_weightnet
+from tmlab.ensemble import PREDICT_MODES, Family, decode, save_weightnet, train_family
 from tmlab.errors import DataError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.fileio import atomic_write_text
-from tmlab.model import Checkpoint, ModelConfig, TrainConfig, save_checkpoint, train
+from tmlab.model import ModelConfig, TrainConfig, save_checkpoint
 from tmlab.retrieval import build_index
 from tmlab.seeding import substream
 
 SCENARIOS = ("low_resource", "plug_and_play", "high_resource")
-DEFAULT_MODES = ("vanilla", "base", "single", "average", "weighted")
+
+
+def _check_type(key: str, value, default) -> None:
+    """Reject a config value whose type is not that of its field's default
+    (a string where there is none, and a number where that is a float)."""
+    if isinstance(default, tuple):
+        ok = type(value) in (list, tuple) and all(type(v) is str for v in value)
+        want = "a list of strings"
+    elif isinstance(default, float):
+        ok, want = type(value) in (int, float), "a number"
+    elif default is None or default is dataclasses.MISSING:
+        ok, want = type(value) is str or (value is None and default is None), "a string"
+    else:
+        ok, want = type(value) is type(default), type(default).__name__
+    if not ok:
+        raise DataError(f"config key '{key}' must be {want}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,21 +88,24 @@ class ExperimentConfig:
     topk: int = 5
     finetune_updates: int = 200
     beam: int = 1                      # 1 decodes greedily
-    modes: tuple[str, ...] = DEFAULT_MODES
+    modes: tuple[str, ...] = PREDICT_MODES
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise UsageError(f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}")
         for m in self.modes:
-            if m not in DEFAULT_MODES:
+            if m not in PREDICT_MODES:
                 raise UsageError(f"unknown mode '{m}'")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(d) - known
+        """A config from JSON-like values, each of its field's type."""
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        unknown = set(d) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            _check_type(key, value, defaults[key])
         if "modes" in d:
             d = {**d, "modes": tuple(d["modes"])}
         return ExperimentConfig(**d)
@@ -125,92 +141,36 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     return PreparedData(train_pool=pool, valid=valid, test=test, vocab=vocab)
 
 
-def _train_config(cfg: ExperimentConfig, epochs: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
-        warmup=cfg.warmup, label_smoothing=cfg.label_smoothing,
-        k_retrieval=cfg.topk,
-    )
+def _recipe(cfg: ExperimentConfig, vocab: Vocab):
+    """Vanilla NMT trains `epochs` on the vanilla arch, every TM backbone
+    `tm_epochs` on the dual encoder."""
+    def recipe(train_mode: str) -> tuple[str, ModelConfig, TrainConfig]:
+        arch, epochs = ("vanilla", cfg.epochs) if train_mode == "none" else ("dual_enc", cfg.tm_epochs)
+        return arch, ModelConfig.from_attrs(cfg, len(vocab), arch), TrainConfig(
+            epochs=epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
+            warmup=cfg.warmup, label_smoothing=cfg.label_smoothing, k_retrieval=cfg.topk)
+
+    return recipe
 
 
-@dataclass
-class TrainedFamily:
-    vanilla: Checkpoint | None
-    base: Checkpoint | None
-    single: Checkpoint | None
-    weighted: FinetuneResult | None
-    vocab: Vocab
-
-    def for_mode(self, mode: str):
-        if mode == "vanilla":
-            return self.vanilla, None
-        if mode == "base":
-            return self.base, None
-        if mode in ("single", "average"):
-            return self.single, None
-        if mode == "weighted":
-            return self.weighted.checkpoint, self.weighted.weightnet
-        raise DataError(f"unknown mode '{mode}'")
-
-
-def train_family(cfg: ExperimentConfig, data: PreparedData, train_corpus: ParallelCorpus,
-                 verbose: bool = True) -> TrainedFamily:
-    """Train the checkpoints the requested modes need on `train_corpus`."""
-    need_vanilla = "vanilla" in cfg.modes
-    need_base = "base" in cfg.modes
-    need_single = any(m in cfg.modes for m in ("single", "average", "weighted"))
-    need_weighted = "weighted" in cfg.modes
-
-    def log(msg):
-        if verbose:
-            print(msg, file=sys.stderr)
-
-    vanilla = base = single = None
-    weighted = None
-    if need_vanilla:
-        log(f"[train] vanilla on {len(train_corpus)} pairs")
-        vanilla = train("vanilla", train_corpus, "none",
-                        ModelConfig.from_attrs(cfg, len(data.vocab), "vanilla"),
-                        _train_config(cfg, cfg.epochs), cfg.seed, vocab=data.vocab)
-    if need_base:
-        log(f"[train] dual-encoder joint top-{cfg.topk} on {len(train_corpus)} pairs")
-        base = train("dual_enc", train_corpus, "topk",
-                     ModelConfig.from_attrs(cfg, len(data.vocab), "dual_enc"),
-                     _train_config(cfg, cfg.tm_epochs), cfg.seed, vocab=data.vocab)
-    if need_single:
-        log(f"[train] dual-encoder single-TM on {len(train_corpus)} pairs")
-        single = train("dual_enc", train_corpus, "single_multi",
-                       ModelConfig.from_attrs(cfg, len(data.vocab), "dual_enc"),
-                       _train_config(cfg, cfg.tm_epochs), cfg.seed, vocab=data.vocab)
-    if need_weighted:
-        log(f"[finetune] weighted ensemble, {cfg.finetune_updates} updates")
-        weighted = finetune_weighted(single, data.valid, data.vocab, train_corpus,
-                                     updates=cfg.finetune_updates, seed=cfg.seed,
-                                     k=cfg.topk, label_smoothing=cfg.label_smoothing)
-    return TrainedFamily(vanilla=vanilla, base=base, single=single,
-                         weighted=weighted, vocab=data.vocab)
-
-
-def evaluate_modes(cfg: ExperimentConfig, family: TrainedFamily, datastore: ParallelCorpus,
-                   test: ParallelCorpus, stage: str) -> list[dict]:
+def evaluate_modes(cfg: ExperimentConfig, family: Family, vocab: Vocab,
+                   datastore: ParallelCorpus, test: ParallelCorpus, stage: str) -> list[dict]:
     """BLEU and perplexity for every requested mode against one datastore."""
-    vocab = family.vocab
     enc_test = encode_corpus(test, vocab)
     index = build_index(encode_corpus(datastore, vocab))
     strategy = "greedy" if cfg.beam <= 1 else "beam"
     rows = []
     for mode in cfg.modes:
-        ckpt, wn = family.for_mode(mode)
+        ckpt, wn = family.member(mode)
         sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
-        k = cfg.topk if mode != "single" else 1
         hyps = []
         for p in enc_test:
-            toks, _ = decode(mode, ckpt, p.source, index, k, sep, strategy=strategy,
+            toks, _ = decode(mode, ckpt, p.source, index, cfg.topk, sep, strategy=strategy,
                              beam_width=cfg.beam, weightnet=wn)
             hyps.append(list(toks))
         bleu = corpus_bleu(hyps, [list(p.target) for p in enc_test]).score
         nats, ppl = token_ce(ckpt, test, vocab, mode=mode, index=index,
-                             k=k, weightnet=wn)
+                             k=cfg.topk, weightnet=wn)
         rows.append({"stage": stage, "mode": mode,
                      "bleu": f"{bleu:.4f}", "ppl": f"{ppl:.4f}"})
     return rows
@@ -222,19 +182,19 @@ def write_results_csv(rows: list[dict], path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def save_family(family: TrainedFamily, out_dir: Path) -> None:
-    family.vocab.save(out_dir / "vocab.txt")
-    if family.vanilla is not None:
-        save_checkpoint(family.vanilla, out_dir / "vanilla.ckpt")
-    if family.base is not None:
-        save_checkpoint(family.base, out_dir / "tm_base.ckpt")
-    if family.single is not None:
-        save_checkpoint(family.single, out_dir / "tm_single.ckpt")
-    if family.weighted is not None:
-        save_checkpoint(family.weighted.checkpoint, out_dir / "tm_weight.ckpt")
-        save_weightnet(family.weighted.weightnet, out_dir / "weightnet.ckpt",
-                       {"d_model": family.weighted.checkpoint.config.d_model})
-        curve = "\n".join(f"{u}\t{l:.6f}" for u, l in family.weighted.curve)
+_CKPT_FILES = {"none": "vanilla.ckpt", "topk": "tm_base.ckpt", "single_multi": "tm_single.ckpt"}
+
+
+def save_family(family: Family, vocab: Vocab, out_dir: Path) -> None:
+    vocab.save(out_dir / "vocab.txt")
+    for train_mode, ckpt in family.backbones.items():
+        save_checkpoint(ckpt, out_dir / _CKPT_FILES[train_mode])
+    ft = family.finetune
+    if ft is not None:
+        save_checkpoint(ft.checkpoint, out_dir / "tm_weight.ckpt")
+        save_weightnet(ft.weightnet, out_dir / "weightnet.ckpt",
+                       {"d_model": ft.checkpoint.config.d_model})
+        curve = "\n".join(f"{u}\t{l:.6f}" for u, l in ft.curve)
         atomic_write_text(out_dir / "finetune_curve.tsv", curve + "\n")
 
 
@@ -245,21 +205,24 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = True) -> list[dict]:
     save_tsv(data.test, out_dir / "test.tsv")
 
     if cfg.scenario == "high_resource":
-        family = train_family(cfg, data, data.train_pool, verbose)
-        rows = evaluate_modes(cfg, family, data.train_pool, data.test, stage="4/4")
+        train_corpus = data.train_pool
+        stages = [("4/4", data.train_pool)]
     else:
         parts = split_equal(data.train_pool, 4, cfg.seed)
-        family = train_family(cfg, data, parts[0], verbose)
-        if cfg.scenario == "low_resource":
-            rows = evaluate_modes(cfg, family, parts[0], data.test, stage="1/4")
-        else:
-            rows = []
-            for j in range(1, 5):
-                datastore = merge_corpora(*parts[:j])
-                if verbose:
-                    print(f"[stage {j}/4] datastore {len(datastore)} pairs", file=sys.stderr)
-                rows += evaluate_modes(cfg, family, datastore, data.test, stage=f"{j}/4")
+        train_corpus = parts[0]
+        stages = ([("1/4", parts[0])] if cfg.scenario == "low_resource" else
+                  [(f"{j}/4", merge_corpora(*parts[:j])) for j in range(1, 5)])
 
-    save_family(family, out_dir)
+    if verbose:
+        print(f"[train] {','.join(cfg.modes)} on {len(train_corpus)} pairs", file=sys.stderr)
+    family = train_family(cfg.modes, train_corpus, data.vocab, _recipe(cfg, data.vocab),
+                          cfg.seed, data.valid, cfg.finetune_updates)
+    rows = []
+    for stage, datastore in stages:
+        if verbose:
+            print(f"[stage {stage}] datastore {len(datastore)} pairs", file=sys.stderr)
+        rows += evaluate_modes(cfg, family, data.vocab, datastore, data.test, stage)
+
+    save_family(family, data.vocab, out_dir)
     write_results_csv(rows, out_dir / "results.csv")
     return rows

@@ -285,4 +285,8 @@ def load_index_corpus(path: str | Path) -> ParallelCorpus:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    return build_index(load_index_corpus(path))
+    corpus = load_index_corpus(path)
+    try:
+        return build_index(corpus)
+    except TypeError as e:  # a token that cannot be hashed
+        raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None

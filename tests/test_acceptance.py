@@ -15,7 +15,6 @@ import pytest
 from helpers import check_gradients
 from tmlab import autodiff as ad
 from tmlab.biasvar import (
-    BiasVarModelSpec,
     decompose,
     estimate_bias_variance,
     mc_variance_check,
@@ -383,15 +382,11 @@ def test_criterion_08_bias_variance_direction():
                       n_src_layers=1, n_mem_layers=1, n_dec_layers=1,
                       dropout=0.1, max_len=48, arch="dual_enc")
     tc = TrainConfig(epochs=3, batch_size=32, base_lr=2e-3, warmup=50, k_retrieval=5)
-    specs = [
-        BiasVarModelSpec(name="vanilla", predict_mode="vanilla"),
-        BiasVarModelSpec(name="base", predict_mode="base", k_tms=5),
-        BiasVarModelSpec(name="weighted", predict_mode="weighted", k_tms=5),
-    ]
-    variances: dict[str, list[float]] = {s.name: [] for s in specs}
+    modes = ["vanilla", "base", "weighted"]
+    variances: dict[str, list[float]] = {m: [] for m in modes}
     wins_base, wins_weighted = 0, 0
     for seed in (0, 1, 2):
-        rep = estimate_bias_variance(specs, corpus, test, valid_corpus=valid,
+        rep = estimate_bias_variance(modes, corpus, test, valid_corpus=valid,
                                      config=cfg, train_cfg=tc, k_splits=4, seed=seed,
                                      finetune_updates=30)
         v = {e.model: e.var_forward for e in rep.entries}
@@ -429,8 +424,9 @@ def test_criterion_09_plug_and_play_trend(tmp_path):
     )
     rows = run_experiment(cfg, verbose=False)
     bleu = {(r["stage"], r["mode"]): float(r["bleu"]) for r in rows}
-    # four transitions of the frozen weighted checkpoint: from its no-TM
-    # baseline (the vanilla row) into stage 1, then across growing stages
+    # four transitions of the frozen weighted checkpoint: from the no-TM
+    # baseline of the vanilla row, the separately trained vanilla-arch model,
+    # into stage 1, then across growing stages
     path = [bleu[("1/4", "vanilla")]] + [bleu[(f"{j}/4", "weighted")] for j in range(1, 5)]
     ups = sum(b >= a for a, b in zip(path, path[1:]))
     ok = ups >= 3

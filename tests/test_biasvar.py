@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from tmlab.biasvar import (
     FULL_SCALE_REFERENCE,
-    BiasVarModelSpec,
     decompose,
     estimate_bias_variance,
     geometric_mean_dist,
     kl,
     mc_variance_check,
-    points_from_pair,
     truncate_top,
 )
-from tmlab.corpus import EOS, subset, synth_task
+from tmlab.corpus import subset, synth_task
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import ModelConfig, TrainConfig
@@ -129,13 +127,6 @@ def test_full_scale_reference_orderings():
                ("base", "single", "average", "weighted"))
 
 
-def test_points_from_pair():
-    pts = points_from_pair((5, 6), (7, 8))
-    assert len(pts) == 3
-    assert pts[0].prefix == () and pts[0].gold == 7
-    assert pts[2].prefix == (7, 8) and pts[2].gold == EOS
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo variance of sample means
 # ---------------------------------------------------------------------------
@@ -182,13 +173,10 @@ def test_estimate_bias_variance_smoke_and_determinism():
     test_pairs = subset(task.corpus, range(60, 66))
     cfg = ModelConfig(vocab_size=0, arch="dual_enc", **TINY)
     tc = TrainConfig(epochs=2, batch_size=16, base_lr=2e-3, warmup=10, k_retrieval=3)
-    specs = [
-        BiasVarModelSpec(name="vanilla", predict_mode="vanilla"),
-        BiasVarModelSpec(name="base", predict_mode="base", k_tms=3),
-    ]
-    rep1 = estimate_bias_variance(specs, corpus, test_pairs, config=cfg, train_cfg=tc,
+    modes = ["vanilla", "base"]
+    rep1 = estimate_bias_variance(modes, corpus, test_pairs, config=cfg, train_cfg=tc,
                                   k_splits=2, seed=5)
-    rep2 = estimate_bias_variance(specs, corpus, test_pairs, config=cfg, train_cfg=tc,
+    rep2 = estimate_bias_variance(modes, corpus, test_pairs, config=cfg, train_cfg=tc,
                                   k_splits=2, seed=5)
     for e1, e2 in zip(rep1.entries, rep2.entries):
         assert (e1.loss, e1.var_forward, e1.var_reverse) == (e2.loss, e2.var_forward, e2.var_reverse)
@@ -206,13 +194,19 @@ def test_estimate_bias_variance_validates():
     cfg = ModelConfig(vocab_size=0, arch="dual_enc", **TINY)
     with pytest.raises(DataError):
         estimate_bias_variance(
-            [BiasVarModelSpec(name="v", predict_mode="vanilla")],
+            ["vanilla"],
             task.corpus, task.corpus, config=cfg, train_cfg=TrainConfig(epochs=1),
             k_splits=11,
         )
     with pytest.raises(DataError):
         estimate_bias_variance(
-            [BiasVarModelSpec(name="w", predict_mode="weighted")],
+            ["weighted"],
+            task.corpus, task.corpus, config=cfg, train_cfg=TrainConfig(epochs=1),
+            k_splits=2,
+        )
+    with pytest.raises(DataError, match="unknown prediction mode"):
+        estimate_bias_variance(
+            ["bogus"],
             task.corpus, task.corpus, config=cfg, train_cfg=TrainConfig(epochs=1),
             k_splits=2,
         )

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,12 @@ def test_translate_bad_input_exits_2(workdir, capsys):
     Path("in.txt").write_text("s1 s2\n", encoding="utf-8")
     assert run("translate", "--mode", "average", "--topk", "0", "--input", "in.txt", *common) == 2
     assert "at least one TM" in capsys.readouterr().err
+    # a stored token that cannot be hashed fails in the vocab lookup
+    body = zlib.compress(b'{"sources": [["a", ["b"]]], "targets": [["x"]]}')
+    Path("bad.idx").write_bytes(b"TMIDX1\x00" + struct.pack("<I", len(body)) + body)
+    assert run("translate", "--mode", "base", "--topk", "2", "--input", "in.txt",
+               *common[2:], "--index", "bad.idx") == 2
+    assert "corrupt TMIDX1 index" in capsys.readouterr().err
 
 
 def test_finetune_weight_cli(workdir):
@@ -197,9 +205,28 @@ def test_experiment_low_resource_and_rerun(workdir):
     assert Path("lr/results.csv").read_bytes() == csv1
 
 
-def test_experiment_rejects_unknown_config_keys(workdir):
-    Path("cfg.json").write_text(json.dumps({"mystery_knob": 1}), encoding="utf-8")
-    assert run("experiment", "low-resource", "--out-dir", "x", "--config", "cfg.json") == 1
+@pytest.mark.parametrize("text, code", [
+    pytest.param('{"mystery_knob": 1}', 1, id="unknown-key"),
+    pytest.param('{"epochs": 3', 2, id="malformed-json"),
+    pytest.param('[1, 2]', 2, id="not-an-object"),
+    pytest.param('{"epochs": "x"}', 2, id="wrong-type"),
+    pytest.param('{"epochs": true}', 2, id="bool-for-int"),
+    pytest.param('{"modes": "vanilla"}', 2, id="modes-not-a-list"),
+    pytest.param('{"corpus_tsv": 5}', 2, id="number-for-path"),
+])
+def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
+    Path("cfg.json").write_text(text, encoding="utf-8")
+    assert run("experiment", "low-resource", "--out-dir", "x", "--config", "cfg.json") == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not Path("x").exists()
+
+
+def test_biasvar_unknown_model_exits_1(workdir, capsys):
+    run("corpus", "synth", "--pairs", "20", "--templates", "2", "--lexicon", "5",
+        "--seed", "0", "--out", "c.tsv")
+    assert run("biasvar", "--tsv", "c.tsv", "--test-tsv", "c.tsv", "--models", "vanilla,bogus",
+               "--out-csv", "bv.csv") == 1
+    assert "unknown model 'bogus'" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(workdir, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
+from tmlab import ensemble
 from tmlab.ensemble import (
     PREDICT_MODES,
+    Family,
+    FinetuneResult,
     beam_decode,
     decode,
     finetune_weighted,
@@ -25,6 +30,7 @@ from tmlab.ensemble import (
     save_weightnet,
     sequence_score,
     tm_ids,
+    train_family,
     weighted_seq_probs,
     weightnet_scores,
 )
@@ -217,6 +223,57 @@ def test_finetune_zero_updates_is_average(setup):
                            (BOS,) + p.target)
     a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
     np.testing.assert_array_equal(w, a)
+
+
+# ---------------------------------------------------------------------------
+# Model family
+# ---------------------------------------------------------------------------
+
+def test_train_family_trains_each_backbone_once(monkeypatch):
+    trained, tuned = [], []
+
+    def fake_train(arch, corpus, mode, cfg, tc, seed, vocab=None):
+        trained.append((arch, mode, tc.epochs, seed))
+        return f"ckpt:{mode}"
+
+    def fake_finetune(ckpt, valid, vocab, datastore, updates, seed, k, label_smoothing):
+        tuned.append((ckpt, valid, datastore, updates, seed, k, label_smoothing))
+        return FinetuneResult(checkpoint="ckpt:tuned", weightnet="wn", curve=[],
+                              selected_update=0)
+
+    monkeypatch.setattr(ensemble, "train", fake_train)
+    monkeypatch.setattr(ensemble, "finetune_weighted", fake_finetune)
+    tc = TrainConfig(epochs=3, k_retrieval=4, label_smoothing=0.2)
+
+    def recipe(train_mode):
+        return "dual_enc", None, dataclasses.replace(tc, epochs=len(train_mode))
+
+    fam = train_family(("single", "average", "weighted"), "corpus", "vocab", recipe, 7,
+                       "valid", 11)
+    assert trained == [("dual_enc", "single_multi", len("single_multi"), 7)]
+    assert tuned == [("ckpt:single_multi", "valid", "corpus", 11, 7, 4, 0.2)]
+    assert fam.member("average") == ("ckpt:single_multi", None)
+    assert fam.member("weighted") == ("ckpt:tuned", "wn")
+
+    trained.clear()
+    tuned.clear()
+    fam = train_family(PREDICT_MODES[::-1], "corpus", "vocab", recipe, 7, "valid", 11)
+    assert sorted(m for _, m, _, _ in trained) == ["none", "single_multi", "topk"]
+    assert len(tuned) == 1
+    with pytest.raises(DataError, match="unknown prediction mode"):
+        train_family(("vanilla", "bogus"), "corpus", "vocab", recipe, 7)
+
+
+def test_family_member_follows_the_backbone_table():
+    fam = Family(backbones={"none": "v", "topk": "b", "single_multi": "s"},
+                 finetune=FinetuneResult(checkpoint="w", weightnet="wn", curve=[],
+                                         selected_update=0))
+    assert {m: fam.member(m) for m in PREDICT_MODES} == {
+        "vanilla": ("v", None), "base": ("b", None), "single": ("s", None),
+        "average": ("s", None), "weighted": ("w", "wn"),
+    }
+    with pytest.raises(DataError, match="unknown prediction mode"):
+        fam.member("bogus")
 
 
 # ---------------------------------------------------------------------------

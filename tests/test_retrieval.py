@@ -309,6 +309,7 @@ def test_load_index_corrupt_file_raises_data_error(tmp_path, data):
 @pytest.mark.parametrize("body", [
     b"\xff\xfe", b"{not json", b"[]", b'{"sources": []}', b'{"sources": {}, "targets": {}}',
     b'{"sources": [["a"]], "targets": []}', b'{"sources": [1], "targets": [2]}',
+    b'{"sources": [["a", ["b"]]], "targets": [["x"]]}',
 ])
 def test_load_index_rejects_malformed_body(tmp_path, body):
     packed = zlib.compress(body)
