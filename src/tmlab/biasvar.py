@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -284,6 +283,9 @@ def estimate_bias_variance(
             })
     workers = min(worker_count(), len(units))
     if workers > 1:
+        # imported here: the pool's modules cost every other process start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_split_unit, units))
     else:

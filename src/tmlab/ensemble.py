@@ -32,6 +32,7 @@ from tmlab.corpus import BOS, EOS, PAD, ParallelCorpus, Vocab, encode_corpus
 from tmlab.errors import DataError, NumericError
 from tmlab.model import (
     Checkpoint,
+    DecodeCache,
     ModelConfig,
     TrainConfig,
     _pad_batch,
@@ -57,28 +58,60 @@ def tm_ids(z: TmPair) -> TmIds:
 
 
 # ---------------------------------------------------------------------------
-# Teacher-forced sequence distributions (single example, no grad)
+# Prediction modes: the rows each reads, and how it combines them
 # ---------------------------------------------------------------------------
 
-def _forward(ckpt: Checkpoint, sep_id: int | None, x: Sequence[int],
-             tm_lists: Sequence[Sequence[TmIds]], y_in: Sequence[int]):
-    """One row per TM list, every row over the source x and the target y_in.
+def mode_rows(mode: str, ckpt: Checkpoint, Z: Sequence[TmIds], weightnet=None) -> list[list[TmIds]]:
+    """The TM list of each forward row `mode` reads for one target prefix.
 
-    Rows are bitwise identical to separate single-row forwards: the
-    memory pool pads with exactly-masked slots and per-row reductions
-    never mix rows.
+    The ensembles read one row per TM. `weighted` scores them from the
+    TM-free decoder state too: a dual encoder reads its TMs after the
+    decoder stack, so any of its rows has that state; any other
+    architecture gets one more row, without TMs, last.
     """
-    y = np.repeat(np.asarray([list(y_in)], dtype=np.int64), len(tm_lists), axis=0)
-    with ad.no_grad():
-        return forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(tm_lists),
-                            tm_lists, y)
-
-
-def _components(ckpt, sep_id, x, Z: Sequence[TmIds], y_in):
-    """The K single-TM forwards an ensemble mixes, as one batch of K rows."""
+    if mode in ("vanilla", "base", "single"):
+        return [{"vanilla": [], "base": list(Z), "single": list(Z[:1])}[mode]]
+    if mode not in ("average", "weighted"):
+        raise DataError(f"unknown prediction mode '{mode}'")
+    if mode == "weighted":
+        if weightnet is None:
+            raise DataError("weighted mode needs a weightnet")
+        d_model = ckpt.config.d_model
+        if weightnet["wn.w2"].data.shape[0] != d_model:
+            raise DataError(
+                f"weightnet d_model {weightnet['wn.w2'].data.shape[0]} does not match "
+                f"checkpoint d_model {d_model}"
+            )
     if not Z:
         raise DataError("an ensemble needs at least one TM; use vanilla mode instead")
-    return _forward(ckpt, sep_id, x, [[z] for z in Z], y_in)
+    extra = [[]] if mode == "weighted" and ckpt.config.arch != "dual_enc" else []
+    return [[z] for z in Z] + extra
+
+
+def combine_rows(mode: str, st, n_rows: int, weightnet=None):
+    """Distributions (H, T, V) from a forward over H groups of the `n_rows`
+    rows `mode_rows` gave, and the mixture weights (H, T, K) of an ensemble
+    mode (None otherwise)."""
+    p = st.p.data
+    if mode in ("vanilla", "base", "single"):
+        return p.astype(np.float64), None
+    H, T, V = p.shape[0] // n_rows, p.shape[1], p.shape[2]
+
+    def grouped(a: np.ndarray) -> np.ndarray:          # (H, n_rows, T, ...)
+        return a.reshape(H, n_rows, *a.shape[1:])
+
+    # without h_tz the TMs shaped the decoder state, and mode_rows added a TM-free row
+    K = n_rows - (mode == "weighted" and st.h_tz is None)
+    if mode == "average":
+        weights = _softmax64(np.zeros((H, T, K)))
+    else:
+        h_t = grouped(st.h.data)[:, -1 if K < n_rows else 0]              # (H, T, D)
+        h_tk = grouped(tm_state(st).data)[:, :K].transpose(0, 2, 1, 3)    # (H, T, K, D)
+        with ad.no_grad():
+            scores = weightnet_scores(weightnet, ad.Tensor(h_t), ad.Tensor(h_tk))
+        weights = _softmax64(scores.data)
+    dists = grouped(p)[:, :K].transpose(1, 0, 2, 3).reshape(K, H * T, V).astype(np.float64)
+    return mix_components(dists, weights.reshape(H * T, K)).reshape(H, T, V), weights
 
 
 def _softmax64(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -107,45 +140,34 @@ def mix_components(dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Teacher-forced sequence distributions (single example, no grad)
+# ---------------------------------------------------------------------------
+
+def _teacher_forced(mode, ckpt, sep_id, x, Z, y_in, weightnet):
+    rows = mode_rows(mode, ckpt, Z, weightnet)
+    y = np.repeat(np.asarray([list(y_in)], dtype=np.int64), len(rows), axis=0)
+    with ad.no_grad():
+        st = forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(rows), rows, y)
+    probs, weights = combine_rows(mode, st, len(rows), weightnet)
+    return probs[0], None if weights is None else weights[0]
+
+
 def weighted_seq_probs(ckpt, weightnet, sep_id, x, Z: Sequence[TmIds], y_in,
                        return_weights: bool = False):
-    d_model = ckpt.config.d_model
-    if weightnet["wn.w2"].data.shape[0] != d_model:
-        raise DataError(
-            f"weightnet d_model {weightnet['wn.w2'].data.shape[0]} does not match "
-            f"checkpoint d_model {d_model}"
-        )
-    st = _components(ckpt, sep_id, x, Z, y_in)
-    dists = st.p.data.astype(np.float64)                    # (K, T, V)
-    # a forward with h_tz read its TMs after the decoder stack, so any row's
-    # decoder state is the TM-free one; otherwise that takes a TM-free forward
-    h_t = st.h.data[:1] if st.h_tz is not None else _forward(ckpt, sep_id, x, [()], y_in).h.data
-    h_tk = np.transpose(tm_state(st).data, (1, 0, 2))[None]  # (1,T,K,D)
-    with ad.no_grad():
-        scores = weightnet_scores(weightnet, ad.Tensor(h_t), ad.Tensor(h_tk))
-    weights = _softmax64(scores.data[0])                    # (T, K)
-    mixed = mix_components(dists, weights)
-    return (mixed, weights) if return_weights else mixed
+    probs, weights = _teacher_forced("weighted", ckpt, sep_id, x, Z, y_in, weightnet)
+    return (probs, weights) if return_weights else probs
 
 
 def mode_seq_probs(mode: str, ckpt, sep_id, x, Z: Sequence[TmIds], y_in,
                    weightnet=None) -> np.ndarray:
     """Next-token distributions (T, V) at every step of y_in, in one mode.
 
-    The only place that tells the prediction modes apart: scoring,
-    decoding and the bias-variance estimator all predict through it.
+    Scoring, the bias-variance estimator and the teacher-forced step
+    function predict through it; incremental decoding reads the same
+    `mode_rows` and `combine_rows`.
     """
-    if mode in ("vanilla", "base", "single"):
-        tms = {"vanilla": [], "base": list(Z), "single": list(Z[:1])}[mode]
-        return _forward(ckpt, sep_id, x, [tms], y_in).p.data[0].astype(np.float64)
-    if mode == "average":
-        dists = _components(ckpt, sep_id, x, Z, y_in).p.data.astype(np.float64)
-        return mix_components(dists, _softmax64(np.zeros((dists.shape[1], len(Z)))))
-    if mode == "weighted":
-        if weightnet is None:
-            raise DataError("weighted mode needs a weightnet")
-        return weighted_seq_probs(ckpt, weightnet, sep_id, x, Z, y_in)
-    raise DataError(f"unknown prediction mode '{mode}'")
+    return _teacher_forced(mode, ckpt, sep_id, x, Z, y_in, weightnet)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +211,16 @@ def save_weightnet(wn, path: str | Path, meta: dict | None = None) -> None:
 
 
 def load_weightnet(path: str | Path) -> tuple[dict[str, ad.Tensor], dict]:
+    """Load a weightnet; its tensors must be `init_weightnet`'s for one d_model."""
     arrays, meta = ad.load_arrays(path)
+    b1 = arrays.get("wn.b1")
+    d_model = b1.shape[0] if b1 is not None and b1.ndim == 1 else 0
+    want = {k: v.data.shape for k, v in init_weightnet(d_model, 0).items()} if d_model else {}
+    got = {k: v.shape for k, v in arrays.items()}
+    if not want or got != want:
+        bad = sorted(set(got) ^ set(want)) or [k for k in sorted(got) if got[k] != want[k]]
+        raise DataError(f"{path}: not a weightnet file (tensor '{(bad or ['wn.b1'])[0]}' "
+                        f"is missing, unexpected or misshaped)")
     return {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}, meta
 
 
@@ -373,11 +404,47 @@ def train_family(
 # ---------------------------------------------------------------------------
 
 StepFn = Callable[[tuple[int, ...]], np.ndarray]
+BatchStepFn = Callable[[Sequence[tuple[int, ...]]], np.ndarray]   # H prefixes -> (H, V)
+# The beam bound's allowance per step: a float32 probability may round
+# above 1, here by up to 1e-5 (about 84 float32 ulps of 1).
+LOGP_SLACK = math.log(1 + 1e-5)
 
 
 def make_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> StepFn:
+    """The teacher-forced step: one whole forward per prefix."""
     def step(prefix: tuple[int, ...]) -> np.ndarray:
         return mode_seq_probs(mode, ckpt, sep_id, x, Z, (BOS,) + prefix, weightnet)[-1]
+
+    return step
+
+
+def make_cached_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> BatchStepFn:
+    """The incremental step: one forward over every prefix × every row the
+    mode reads, each row reading only its newest token.
+
+    The first call takes empty prefixes and encodes the source and the
+    TMs once; each prefix of a later call extends one of the previous
+    call's prefixes by one token, and the decoding cache's rows are
+    selected from that prefix's.
+    """
+    rows = mode_rows(mode, ckpt, Z, weightnet)
+    R = len(rows)
+    cache = DecodeCache()
+    last: dict[tuple[int, ...], int] = {}
+
+    def step(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        nonlocal last
+        if cache.steps:
+            parents = np.asarray([last[p[:-1]] for p in prefixes])
+            cache.select((parents[:, None] * R + np.arange(R)).ravel())
+            y = np.repeat(np.asarray([p[-1] for p in prefixes], dtype=np.int64), R)[:, None]
+        else:
+            y = np.full((len(prefixes) * R, 1), BOS, dtype=np.int64)
+        with ad.no_grad():
+            st = forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(y),
+                              rows * len(prefixes), y, cache=cache)
+        last = {p: i for i, p in enumerate(prefixes)}
+        return combine_rows(mode, st, R, weightnet)[0][:, -1]
 
     return step
 
@@ -392,7 +459,7 @@ def sequence_score(step_fn: StepFn, tokens: tuple[int, ...]) -> float:
     return total / len(full)
 
 
-def greedy_decode(step_fn: StepFn, max_new: int) -> tuple[tuple[int, ...], float]:
+def greedy_decode(step_fn: BatchStepFn, max_new: int) -> tuple[tuple[int, ...], float]:
     """Arg-max decoding; the score is `sequence_score`'s, summed on the same walk.
 
     Only a hypothesis cut at `max_new` takes one more step, for its EOS.
@@ -400,35 +467,47 @@ def greedy_decode(step_fn: StepFn, max_new: int) -> tuple[tuple[int, ...], float
     out: tuple[int, ...] = ()
     total = 0.0
     for _ in range(max_new):
-        dist = step_fn(out)
+        dist = step_fn([out])[0]
         tok = int(np.argmax(dist))
         total += math.log(max(float(dist[tok]), 1e-12))
         if tok == EOS:
             return out, total / (len(out) + 1)
         out = out + (tok,)
-    total += math.log(max(float(step_fn(out)[EOS]), 1e-12))
+    total += math.log(max(float(step_fn([out])[0][EOS]), 1e-12))
     return out, total / (len(out) + 1)
 
 
-def beam_decode(step_fn: StepFn, width: int, max_new: int) -> tuple[tuple[int, ...], float]:
+def beam_decode(step_fn: BatchStepFn, width: int, max_new: int) -> tuple[tuple[int, ...], float]:
     """Beam search scored by length-normalized log-probability.
 
     Candidates are expanded in cumulative log-prob order with ties broken
     toward lower token ids, so beam(1) reproduces greedy decoding.
+
+    The search stops early only when its result can no longer change. A
+    live hypothesis with cumulative log-prob S and r steps left finishes
+    with at most S + r·LOGP_SLACK over at most max_new + 1 tokens; while
+    that is negative, their quotient bounds its score. Once the best
+    finished score is strictly above every live bound, the exhaustive
+    search would return that same hypothesis. Without the cap there is no
+    such bound (Huang et al. 2017, "When to Finish?").
     """
     if width < 1:
         raise DataError(f"beam width must be >= 1, got {width}")
     live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     done: list[tuple[tuple[int, ...], float]] = []
-    for _ in range(max_new):
+    for t in range(max_new):
         if not live:
             break
+        if done:
+            top = max(score for _, score in live) + (max_new - t) * LOGP_SLACK
+            if top < 0 and max(score for _, score in done) > top / (max_new + 1):
+                break
+        dists = step_fn([tokens for tokens, _ in live])
+        logps = np.log(np.maximum(dists.astype(np.float64), 1e-300))
         cands: list[tuple[float, tuple[int, ...]]] = []
-        for tokens, score in live:
-            dist = step_fn(tokens)
-            logp = np.log(np.maximum(dist.astype(np.float64), 1e-300))
-            top = np.lexsort((np.arange(logp.size), -logp))[:width]
-            for tok in top:
+        for (tokens, score), logp in zip(live, logps):
+            top_ids = np.lexsort((np.arange(logp.size), -logp))[:width]
+            for tok in top_ids:
                 cands.append((score + float(logp[tok]), tokens + (int(tok),)))
         cands.sort(key=lambda c: (-c[0], c[1]))
         live = []
@@ -459,7 +538,7 @@ def decode(
 ) -> tuple[tuple[int, ...], float]:
     """Translate one encoded source; returns (token ids, normalized score)."""
     Z = [tm_ids(z) for z in retrieve_topk(index, tuple(x), k)] if mode != "vanilla" else []
-    step_fn = make_step_fn(mode, ckpt, sep_id, tuple(x), Z, weightnet)
+    step_fn = make_cached_step_fn(mode, ckpt, sep_id, tuple(x), Z, weightnet)
     max_new = max_new or (ckpt.config.max_len - 1)
     if strategy == "greedy":
         return greedy_decode(step_fn, max_new)

@@ -99,6 +99,29 @@ class DecoderState:
     alpha: ad.Tensor | None = None  # (B, T, M) attention over TM tokens
 
 
+class DecodeCache:
+    """What an incremental forward keeps between calls, every entry indexed
+    by batch row: the decoder's cross-attention keys and values and the TM
+    memory, computed on the first call, and each decoder self-attention
+    layer's keys, values and key-pad bias for the positions read so far.
+    Inference only; `select` reorders or duplicates rows, as a beam does
+    with its hypotheses, in place."""
+
+    def __init__(self) -> None:
+        self.steps = 0                          # target positions read so far
+        self.rows: dict[str, np.ndarray] = {}
+
+    def extend(self, name: str, new: np.ndarray | None, axis: int) -> np.ndarray:
+        """The entry `name`, extended along `axis` by `new` unless it is None."""
+        if new is not None:
+            old = self.rows.get(name)
+            self.rows[name] = new if old is None else np.concatenate((old, new), axis=axis)
+        return self.rows[name]
+
+    def select(self, rows: np.ndarray) -> None:
+        self.rows = {name: v[rows] for name, v in self.rows.items()}
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -168,13 +191,14 @@ def positional_encoding(max_len: int, d_model: int, dtype=np.float32) -> np.ndar
 # Transformer building blocks (pre-LN residual wiring)
 # ---------------------------------------------------------------------------
 
-def _embed(params, cfg, ids: np.ndarray, rng, train) -> ad.Tensor:
-    L = ids.shape[-1]
-    if L > cfg.max_len:
-        raise DataError(f"sequence length {L} exceeds max_len {cfg.max_len}")
+def _embed(params, cfg, ids: np.ndarray, rng, train, start: int = 0) -> ad.Tensor:
+    """Embeddings of `ids` at positions start, start + 1, ..."""
+    end = start + ids.shape[-1]
+    if end > cfg.max_len:
+        raise DataError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     dtype = params["emb"].data.dtype
     x = ad.mul(ad.embedding_lookup(params["emb"], ids), math.sqrt(cfg.d_model))
-    x = ad.add(x, ad.Tensor(positional_encoding(cfg.max_len, cfg.d_model, dtype)[:L]))
+    x = ad.add(x, ad.Tensor(positional_encoding(cfg.max_len, cfg.d_model, dtype)[start:end]))
     return ad.dropout(x, cfg.dropout, rng, train)
 
 
@@ -188,14 +212,21 @@ def _heads_merge(x: ad.Tensor) -> ad.Tensor:
     return ad.reshape(ad.permute(x, (0, 2, 1, 3)), (B, T, H * Dh))
 
 
-def _mha(params, prefix, q_in, kv_in, mask_bias, cfg, rng, train) -> ad.Tensor:
+def _mha(params, prefix, q_in, kv_in, mask_bias, cfg, rng, train, cache=None) -> ad.Tensor:
+    """Multi-head attention of q_in over kv_in. With a cache, the keys and
+    values of kv_in extend those kept under `prefix`, and a None kv_in reads
+    the kept ones as they are."""
     def proj(w, b, t):
         return ad.add(ad.matmul(t, params[f"{prefix}.{w}"]), params[f"{prefix}.{b}"])
 
+    def kv(w, b):
+        new = None if kv_in is None else _heads_split(proj(w, b, kv_in), cfg.n_heads)
+        if cache is None:
+            return new
+        return ad.Tensor(cache.extend(f"{prefix}.{w}", None if new is None else new.data, axis=2))
+
     q = _heads_split(proj("wq", "bq", q_in), cfg.n_heads)
-    k = _heads_split(proj("wk", "bk", kv_in), cfg.n_heads)
-    v = _heads_split(proj("wv", "bv", kv_in), cfg.n_heads)
-    ctx = _heads_merge(ad.scaled_dot_attention(q, k, v, mask_bias))
+    ctx = _heads_merge(ad.scaled_dot_attention(q, kv("wk", "bk"), kv("wv", "bv"), mask_bias))
     return ad.dropout(proj("wo", "bo", ctx), cfg.dropout, rng, train)
 
 
@@ -225,20 +256,27 @@ def _encode_stack(params, cfg, stack: str, n_layers: int, ids: np.ndarray, rng, 
     return ad.layer_norm(x, params[f"{stack}.lnf_g"], params[f"{stack}.lnf_b"])
 
 
-def _decode_stack(params, cfg, y_in: np.ndarray, enc: ad.Tensor, src_ids: np.ndarray,
-                  rng, train) -> ad.Tensor:
-    x = _embed(params, cfg, y_in, rng, train)
+def _decode_stack(params, cfg, y_in: np.ndarray, enc: ad.Tensor | None,
+                  src_ids: np.ndarray | None, rng, train, cache=None) -> ad.Tensor:
+    """The decoder over y_in; with a cache, y_in continues the positions it
+    holds, and enc and src_ids are None once it holds their keys."""
+    start = 0 if cache is None else cache.steps
+    x = _embed(params, cfg, y_in, rng, train, start)
     T = y_in.shape[-1]
     dtype = x.data.dtype
-    causal = np.where(np.arange(T)[None, :] > np.arange(T)[:, None], NEG_BIAS, 0.0)
-    self_bias = (causal[None, None, :, :] + _key_pad_bias(y_in, dtype)).astype(dtype)
-    cross_bias = _key_pad_bias(src_ids, dtype)
+    causal = np.where(np.arange(start + T)[None, :] > start + np.arange(T)[:, None], NEG_BIAS, 0.0)
+    pad_bias = _key_pad_bias(y_in, dtype)
+    cross_bias = None if src_ids is None else _key_pad_bias(src_ids, dtype)
+    if cache is not None:
+        pad_bias = cache.extend("self.pad", pad_bias, axis=-1)
+        cross_bias = cache.extend("cross.pad", cross_bias, axis=-1)
+    self_bias = (causal[None, None, :, :] + pad_bias).astype(dtype)
     for i in range(cfg.n_dec_layers):
         pre = f"dec{i}"
         n = _ln(params, f"{pre}.self", x)
-        x = ad.add(x, _mha(params, f"{pre}.self", n, n, self_bias, cfg, rng, train))
+        x = ad.add(x, _mha(params, f"{pre}.self", n, n, self_bias, cfg, rng, train, cache))
         x = ad.add(x, _mha(params, f"{pre}.cross", _ln(params, f"{pre}.cross", x),
-                           enc, cross_bias, cfg, rng, train))
+                           enc, cross_bias, cfg, rng, train, cache))
         x = ad.add(x, _ffn(params, f"{pre}.ffn", _ln(params, f"{pre}.ffn", x), cfg, rng, train))
     return ad.layer_norm(x, params["dec.lnf_g"], params["dec.lnf_b"])
 
@@ -399,59 +437,108 @@ def gate_and_mix(h_tz: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor,
     return mix_gate(lam, p_nmt, p_tm), lam
 
 
-def forward_vanilla(params, cfg: ModelConfig, x_ids: np.ndarray, y_in: np.ndarray,
-                    rng=None, train=False) -> DecoderState:
-    enc = _encode_stack(params, cfg, "src", cfg.n_src_layers, x_ids, rng, train)
-    h = _decode_stack(params, cfg, y_in, enc, x_ids, rng, train)
+def _encode_source(params, cfg, x_ids: np.ndarray | None, rng, train) -> ad.Tensor | None:
+    """The source encoder's output; None when a decoding cache already holds it."""
+    if x_ids is None:
+        return None
+    return _encode_stack(params, cfg, "src", cfg.n_src_layers, x_ids, rng, train)
+
+
+_TM_ROWS = ("tm.pool", "tm.valid", "tm.copy", "tm.tok", "tm.has_tm")
+
+
+def _tm_memory(params, cfg, mem: MemoryBatch | None, rng, train, cache):
+    """(pool encodings, valid slots, target-side slots, token ids, has_tm) of
+    the TM tokens a dual-encoder forward reads, or None when no row has a TM.
+    A cache keeps them from its first call on."""
+    if cache is not None and cache.steps:
+        pool, *rest = (cache.rows.get(name) for name in _TM_ROWS)
+        return None if pool is None else (ad.Tensor(pool), *rest)
+    if mem is None or mem.empty:
+        return None
+    pool = dual_encode_memory(params, cfg, mem, rng, train)
+    parts = (pool, mem.pool_valid, mem.pool_valid & mem.pool_is_tgt, mem.pool_tok, mem.has_tm)
+    if cache is not None:
+        cache.rows.update(zip(_TM_ROWS, (pool.data,) + parts[1:]))
+    return parts
+
+
+def forward_vanilla(params, cfg: ModelConfig, x_ids: np.ndarray | None, y_in: np.ndarray,
+                    rng=None, train=False, cache: DecodeCache | None = None) -> DecoderState:
+    """Encoder over x_ids, decoder over y_in. With a cache, x_ids is None
+    once the cache holds its encoding (see `forward_rows`)."""
+    h = _decode_stack(params, cfg, y_in, _encode_source(params, cfg, x_ids, rng, train),
+                      x_ids, rng, train, cache)
     logits = ad.add(ad.matmul(h, params["out_w"]), params["out_b"])
     p = ad.softmax(logits, axis=-1)
     return DecoderState(p=p, p_nmt=p, h=h, logits=logits)
 
 
-def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray, mem: MemoryBatch | None,
-                 y_in: np.ndarray, rng=None, train=False) -> DecoderState:
-    enc = _encode_stack(params, cfg, "src", cfg.n_src_layers, x_ids, rng, train)
-    h = _decode_stack(params, cfg, y_in, enc, x_ids, rng, train)
+def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray | None, mem: MemoryBatch | None,
+                 y_in: np.ndarray, rng=None, train=False,
+                 cache: DecodeCache | None = None) -> DecoderState:
+    """As `forward_vanilla`, then copy and gate over the TM memory `mem`."""
+    h = _decode_stack(params, cfg, y_in, _encode_source(params, cfg, x_ids, rng, train),
+                      x_ids, rng, train, cache)
     logits = ad.add(ad.matmul(h, params["out_w"]), params["out_b"])
     p_nmt = ad.softmax(logits, axis=-1)
-    if mem is None or mem.empty:
+    tm = _tm_memory(params, cfg, mem, rng, train, cache)
+    if tm is None:
         # no TM anywhere in the batch: the gate is forced shut
         return DecoderState(p=p_nmt, p_nmt=p_nmt, h=h, logits=logits)
-    pool = dual_encode_memory(params, cfg, mem, rng, train)
+    pool, valid, copy_slots, tok, has_tm = tm
     scores = tm_attention_scores(h, pool, params["tm.w"])
-    alpha = masked_attention(scores, mem.pool_valid)
+    alpha = masked_attention(scores, valid)
     h_tz = ad.matmul(ad.matmul(alpha, pool), params["tm.h"])
     # copy weights renormalize over target-side slots; a second masked softmax
     # of the same scores keeps that exact at any score magnitude
-    alpha_copy = masked_attention(scores, mem.pool_valid & mem.pool_is_tgt)
-    p_tm = copy_distribution(alpha_copy, mem.pool_tok, cfg.vocab_size)
+    alpha_copy = masked_attention(scores, copy_slots)
+    p_tm = copy_distribution(alpha_copy, tok, cfg.vocab_size)
     p, lam = gate_and_mix(h_tz, p_nmt, p_tm, params["gate.w"], params["gate.b"],
-                          has_tm=mem.has_tm)
+                          has_tm=has_tm)
     return DecoderState(p=p, p_nmt=p_nmt, h=h, logits=logits, p_tm=p_tm, lam=lam,
                         h_tz=h_tz, alpha=alpha)
 
 
 def forward_rows(params, cfg: ModelConfig, sep_id: int | None, sources: Sequence[Sequence[int]],
                  tm_lists: Sequence[Sequence[tuple[tuple, tuple]]], y_in: np.ndarray,
-                 rng=None, train=False) -> DecoderState:
+                 rng=None, train=False, cache: DecodeCache | None = None) -> DecoderState:
     """One forward over a batch of rows, each a source with its own TM pairs.
 
     The one place that knows how TMs enter each architecture: the dual
     encoder reads them as a memory batch (none when no row has a TM), the
     single encoder as a separator-joined source, and vanilla not at all.
+
+    With a cache (inference only), the first call encodes the sources and
+    TMs once; every later call continues each row's target with y_in, its
+    newest tokens, and reads neither `sources` nor `tm_lists`.
     """
+    if cache is not None and cache.steps:
+        x = mem = None
+    else:
+        x, mem = _layout(cfg, sep_id, sources, tm_lists)
+    if cfg.arch == "dual_enc":
+        state = forward_dual(params, cfg, x, mem, y_in, rng, train, cache)
+    else:
+        state = forward_vanilla(params, cfg, x, y_in, rng, train, cache)
+    if cache is not None:
+        cache.steps += y_in.shape[-1]
+    return state
+
+
+def _layout(cfg: ModelConfig, sep_id, sources, tm_lists) -> tuple[np.ndarray, MemoryBatch | None]:
+    """The padded encoder input and the TM memory batch of `forward_rows`' rows."""
     if not all(len(s) for s in sources):
         raise DataError("empty source sentence")
     if cfg.arch == "dual_enc":
         mem = build_memory_batch(tm_lists, sep_id, cfg.max_len) if any(tm_lists) else None
-        return forward_dual(params, cfg, _pad_batch(sources), mem, y_in, rng, train)
+        return _pad_batch(sources), mem
     if cfg.arch == "single_enc":
-        x = _pad_batch([build_concat_source(s, tms, sep_id, cfg.max_len)
-                        for s, tms in zip(sources, tm_lists)])
-        return forward_vanilla(params, cfg, x, y_in, rng, train)
+        return _pad_batch([build_concat_source(s, tms, sep_id, cfg.max_len)
+                           for s, tms in zip(sources, tm_lists)]), None
     if any(tm_lists):
         raise DataError("a vanilla checkpoint cannot condition on TMs")
-    return forward_vanilla(params, cfg, _pad_batch(sources), y_in, rng, train)
+    return _pad_batch(sources), None
 
 
 def tm_state(state: DecoderState) -> ad.Tensor:

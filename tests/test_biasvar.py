@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +192,33 @@ def test_estimate_bias_variance_smoke_and_determinism():
     rows = rep1.csv_rows()
     assert len(rows) == 4 and rows[0][1] == "forward_kl"
     assert "bias_variance_report" in rep1.to_text()
+
+
+def test_parallel_estimator_equals_serial(monkeypatch):
+    task = synth_task(n_pairs=40, n_templates=3, lexicon_size=6, seed=2)
+    corpus = subset(task.corpus, range(32))
+    test_pairs = subset(task.corpus, range(32, 35))
+    cfg = ModelConfig(vocab_size=0, arch="dual_enc", **TINY)
+    tc = TrainConfig(epochs=1, batch_size=16, base_lr=2e-3, warmup=5, k_retrieval=2)
+
+    def report():
+        rep = estimate_bias_variance(["vanilla", "base"], corpus, test_pairs, config=cfg,
+                                     train_cfg=tc, k_splits=2, seed=1)
+        return [dataclasses.astuple(e) for e in rep.entries]
+
+    monkeypatch.setenv("TMLAB_THREADS", "1")
+    serial = report()
+    monkeypatch.setenv("TMLAB_THREADS", "2")
+    assert report() == serial
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    code = ("import sys, tmlab.biasvar, tmlab.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_estimate_bias_variance_validates():

@@ -148,6 +148,23 @@ def test_translate_bad_input_exits_2(workdir, capsys):
     assert "corrupt TMIDX1 index" in capsys.readouterr().err
 
 
+def test_weighted_with_a_non_weightnet_file_exits_2(workdir, capsys):
+    run("corpus", "synth", "--pairs", "40", "--templates", "3", "--lexicon", "8",
+        "--seed", "2", "--out", "c.tsv")
+    assert run("train", "--tsv", "c.tsv", "--arch", "dual_enc", "--mode", "single_multi",
+               "--topk", "2", "--seed", "0", "--out", "m.ckpt", "--quiet", *TRAIN_FLAGS) == 0
+    run("index", "build", "--tsv", "c.tsv", "--out", "c.idx")
+    Path("in.txt").write_text("s1 s2\n", encoding="utf-8")
+    # the model checkpoint is a TMLAB1 file without any wn.* tensor
+    common = ["--mode", "weighted", "--weightnet", "m.ckpt", "--index", "c.idx",
+              "--topk", "2", "--ckpt", "m.ckpt", "--vocab", "m.ckpt.vocab"]
+    capsys.readouterr()
+    assert run("translate", *common, "--input", "in.txt", "--out", "h.txt") == 2
+    assert run("eval", "ppl", *common, "--tsv", "c.tsv") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 2 and all("not a weightnet file" in line for line in lines)
+
+
 def test_finetune_weight_cli(workdir):
     run("corpus", "synth", "--pairs", "60", "--templates", "3", "--lexicon", "8",
         "--seed", "4", "--out", "c.tsv")

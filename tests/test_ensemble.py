@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmlab.corpus import (
     BOS,
@@ -24,6 +26,7 @@ from tmlab.ensemble import (
     greedy_decode,
     init_weightnet,
     load_weightnet,
+    make_cached_step_fn,
     make_step_fn,
     mix_components,
     mode_seq_probs,
@@ -181,6 +184,21 @@ def test_weightnet_roundtrip(tmp_path, setup):
         np.testing.assert_array_equal(back[k].data, wn[k].data)
 
 
+@pytest.mark.parametrize("arrays", [
+    {"emb": np.zeros((4, 16), np.float32)},                        # a model checkpoint
+    {},
+    {k: v for k, v in init_weightnet(16, 0).items() if k != "wn.w2"},
+    {**init_weightnet(16, 0), "wn.w2": init_weightnet(8, 0)["wn.w2"]},
+    {**init_weightnet(16, 0), "wn.extra": np.zeros(1, np.float32)},
+    {**init_weightnet(16, 0), "wn.b1": np.zeros((), np.float32)},
+])
+def test_load_weightnet_rejects_other_layouts(tmp_path, arrays):
+    path = tmp_path / "wn.tmlab"
+    ad.save_arrays(path, {k: getattr(v, "data", v) for k, v in arrays.items()}, {})
+    with pytest.raises(DataError, match="not a weightnet file"):
+        load_weightnet(path)
+
+
 def test_finetune_weighted_contract():
     task = synth_task(n_pairs=90, n_templates=4, lexicon_size=10, seed=21)
     train_c = subset(task.corpus, range(60))
@@ -293,6 +311,11 @@ def _toy_step_fn(table, vocab_size):
     return step
 
 
+def _batched(step):
+    """A per-prefix step function in the batched signature decoding takes."""
+    return lambda prefixes: np.stack([step(p) for p in prefixes])
+
+
 def test_greedy_and_beam_on_toy_table():
     V = 6
     # greedy prefers token 4 first but its continuation is flat; the path
@@ -303,11 +326,11 @@ def test_greedy_and_beam_on_toy_table():
         (5,): [0.0, 0.0, 0.95, 0.0, 0.05, 0.0],
     }
     step = _toy_step_fn(table, V)
-    g, _ = greedy_decode(step, max_new=8)
+    g, _ = greedy_decode(_batched(step), max_new=8)
     assert g == (4,)
-    b1 = beam_decode(step, width=1, max_new=8)
+    b1 = beam_decode(_batched(step), width=1, max_new=8)
     assert b1[0] == g
-    b4_tokens, b4_score = beam_decode(step, width=4, max_new=8)
+    b4_tokens, b4_score = beam_decode(_batched(step), width=4, max_new=8)
     assert b4_score >= sequence_score(step, g) - 1e-9
     assert b4_tokens == (5,)
 
@@ -382,7 +405,9 @@ def test_step_fn_and_decode_follow_mode_seq_probs(setup, arch_ckpts, arch, mode)
         np.testing.assert_array_equal(
             step(y_in[1:t]), mode_seq_probs(mode, ckpt, sep, p.source, Z, y_in[:t], wn)[-1])
     toks, score = decode(mode, ckpt, p.source, index, k, sep, weightnet=wn, max_new=6)
-    assert score == sequence_score(step, toks)
+    # a mean of float32 log-probs from one-token forwards, whose matmul shapes
+    # differ from the teacher-forced ones: equal within 1e-5, not bitwise
+    assert abs(score - sequence_score(step, toks)) <= 1e-5
     b1, _ = decode(mode, ckpt, p.source, index, k, sep, strategy="beam", beam_width=1,
                    weightnet=wn, max_new=6)
     assert b1 == toks
@@ -403,6 +428,112 @@ def test_finetune_weighted_single_enc(setup, arch_ckpts):
                        (BOS,) + p.target, weightnet=ft0.weightnet)
     a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
     np.testing.assert_array_equal(w, a)
+
+
+@pytest.mark.parametrize("mode", PREDICT_MODES)
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_cached_step_follows_mode_seq_probs(setup, arch_ckpts, arch, mode):
+    """Hypotheses reordered, duplicated and extended by any id (reserved ones
+    too): every row of every step is the teacher-forced prediction."""
+    if arch == "single_enc" and mode == "base":
+        pytest.skip("three TMs joined into one source exceed max_len")
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    p = enc[6]
+    Z = _zs(index, p.source, {"vanilla": 0, "single": 1}.get(mode, 3))
+    step = make_cached_step_fn(mode, ckpt, sep, p.source, Z, wn)
+    rng = np.random.default_rng(3)
+    prefixes = [()]
+    for t in range(7):
+        got = step(prefixes)
+        assert got.shape == (len(prefixes), len(vocab))
+        for prefix, row in zip(prefixes, got):
+            want = mode_seq_probs(mode, ckpt, sep, p.source, Z, (BOS,) + prefix, wn)[-1]
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-6)
+        parents = rng.integers(0, len(prefixes), size=min(4, t + 2))
+        prefixes = [prefixes[i] + (int(rng.integers(0, len(vocab))),) for i in parents]
+
+
+@pytest.mark.parametrize("mode", PREDICT_MODES)
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_cached_beam_equals_teacher_forced_beam(setup, arch_ckpts, arch, mode):
+    if arch == "single_enc" and mode == "base":
+        pytest.skip("three TMs joined into one source exceed max_len")
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    k = {"vanilla": 0, "single": 1}.get(mode, 3)
+    for p in enc[6:9]:
+        ref = beam_decode(_batched(make_step_fn(mode, ckpt, sep, p.source, _zs(index, p.source, k),
+                                                wn)), 4, 6)
+        toks, score = decode(mode, ckpt, p.source, index, k, sep, strategy="beam",
+                             beam_width=4, weightnet=wn, max_new=6)
+        assert toks == ref[0]
+        assert abs(score - ref[1]) <= 1e-5
+
+
+def test_cached_steps_do_not_leak_between_sentences(setup, arch_ckpts):
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts["dual_enc"], vocab.sep_id
+    pairs = [(p, _zs(index, p.source, 3)) for p in enc[6:8]]
+
+    def steppers():
+        return [make_cached_step_fn("weighted", ckpt, sep, p.source, Z, wn) for p, Z in pairs]
+
+    # each sentence on its own, then both interleaved step by step
+    alone = [[step([p.target[:t]]) for t in range(4)] for step, (p, _) in zip(steppers(), pairs)]
+    interleaved = steppers()
+    for t in range(4):
+        for i, (step, (p, _)) in enumerate(zip(interleaved, pairs)):
+            np.testing.assert_array_equal(step([p.target[:t]]), alone[i][t])
+    a, b = enc[6].source, enc[7].source
+    first = decode("base", ckpt, a, index, 3, sep, strategy="beam", max_new=5)
+    decode("base", ckpt, b, index, 3, sep, strategy="beam", max_new=5)
+    assert decode("base", ckpt, a, index, 3, sep, strategy="beam", max_new=5) == first
+
+
+def _exhaustive_beam(step, width, max_new):
+    """The beam search without its early stop, as it was written before it had one."""
+    live, done = [((), 0.0)], []
+    for _ in range(max_new):
+        if not live:
+            break
+        cands = []
+        for tokens, score in live:
+            logp = np.log(np.maximum(step(tokens).astype(np.float64), 1e-300))
+            for tok in np.lexsort((np.arange(logp.size), -logp))[:width]:
+                cands.append((score + float(logp[tok]), tokens + (int(tok),)))
+        cands.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for score, tokens in cands[:width]:
+            if tokens[-1] == EOS:
+                done.append((tokens[:-1], score / len(tokens)))
+            else:
+                live.append((tokens, score))
+    for tokens, score in live:
+        done.append((tokens, score / max(len(tokens) + 1, 1)))
+    if not done:
+        return (), float("-inf")
+    done.sort(key=lambda c: (-c[1], c[0]))
+    return done[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), V=st.integers(3, 6), width=st.integers(1, 4),
+       max_new=st.integers(1, 8), scale=st.sampled_from([0.5, 2.0, 8.0]),
+       eos_bias=st.floats(0.0, 3.0), over=st.sampled_from([1.0, 1.0 + 9e-6]))
+def test_beam_stop_returns_the_exhaustive_result(seed, V, width, max_new, scale, eos_bias, over):
+    """Random step tables, some peaked so that a float32 probability rounds above 1."""
+    def step(prefix):
+        rng = np.random.default_rng([seed, len(prefix), *prefix])
+        logits = rng.normal(scale=scale, size=V)
+        logits[EOS] += eos_bias
+        e = np.exp(logits - logits.max())
+        return (e / e.sum() * over).astype(np.float32)
+
+    assert beam_decode(_batched(step), width, max_new) == _exhaustive_beam(step, width, max_new)
 
 
 def tm_ids_stub():
