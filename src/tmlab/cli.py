@@ -24,7 +24,6 @@ from tmlab.corpus import (
     Vocab,
     build_vocab,
     corpus_stats,
-    encode_corpus,
     load_tsv,
     save_tsv,
     split_equal,
@@ -38,14 +37,7 @@ from tmlab.experiments import ExperimentConfig, run_experiment
 from tmlab.fileio import atomic_write_text
 from tmlab.model import ARCHITECTURES, TRAIN_MODES, ModelConfig, TrainConfig, train
 from tmlab.model import load_checkpoint, save_checkpoint
-from tmlab.retrieval import (
-    RetrievalIndex,
-    build_index,
-    load_index,
-    load_index_corpus,
-    retrieve_topk,
-    save_index,
-)
+from tmlab.retrieval import build_index, load_index, retrieve_topk, save_index
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,17 +83,6 @@ def _train_config_args(p: argparse.ArgumentParser) -> None:
 def _train_config(a) -> TrainConfig:
     return TrainConfig(epochs=a.epochs, batch_size=a.batch_size, base_lr=a.lr,
                        warmup=a.warmup, label_smoothing=a.smoothing, k_retrieval=a.topk)
-
-
-def _vocab_index(path: str | None, vocab: Vocab) -> RetrievalIndex | None:
-    """The index of a TMIDX1 file, built once over its pairs as vocab ids."""
-    if not path:
-        return None
-    corpus = load_index_corpus(path)
-    try:
-        return build_index(encode_corpus(corpus, vocab))
-    except TypeError as e:  # a token that cannot be hashed
-        raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None
 
 
 def build_parser() -> _Parser:
@@ -167,7 +148,7 @@ def build_parser() -> _Parser:
     fw.add_argument("--valid-tsv", required=True)
     fw.add_argument("--datastore-tsv", required=True)
     fw.add_argument("--updates", type=int, default=2000)
-    fw.add_argument("--topk", type=int, default=5)
+    fw.add_argument("--topk", type=int, help="TMs per query (default: the checkpoint's k)")
     fw.add_argument("--seed", type=int, default=0)
     fw.add_argument("--out-ckpt", required=True)
     fw.add_argument("--out-weightnet", required=True)
@@ -323,9 +304,12 @@ def _cmd_train(a, argv) -> int:
 def _cmd_finetune_weight(a, argv) -> int:
     vocab = Vocab.load(a.vocab)
     ckpt = load_checkpoint(a.ckpt, vocab)
+    # the backbone's training settings, for checkpoints that record them
+    tc = TrainConfig()
+    k = ckpt.meta.get("k_retrieval", tc.k_retrieval) if a.topk is None else a.topk
     result = finetune_weighted(ckpt, load_tsv(a.valid_tsv), vocab,
-                               load_tsv(a.datastore_tsv), updates=a.updates,
-                               seed=a.seed, k=a.topk)
+                               load_tsv(a.datastore_tsv), updates=a.updates, seed=a.seed, k=k,
+                               label_smoothing=ckpt.meta.get("label_smoothing", tc.label_smoothing))
     save_checkpoint(result.checkpoint, a.out_ckpt)
     save_weightnet(result.weightnet, a.out_weightnet,
                    {"d_model": result.checkpoint.config.d_model,
@@ -344,7 +328,7 @@ def _cmd_translate(a, argv) -> int:
     ckpt = load_checkpoint(a.ckpt, vocab)
     if a.mode != "vanilla" and not a.index:
         raise UsageError(f"--mode {a.mode} needs --index")
-    index = _vocab_index(a.index, vocab)
+    index = load_index(a.index, vocab) if a.index else None
     wn = None
     if a.mode == "weighted":
         if not a.weightnet:
@@ -385,7 +369,7 @@ def _cmd_eval(a, argv) -> int:
     if a.eval_cmd == "ppl":
         vocab = Vocab.load(a.vocab)
         ckpt = load_checkpoint(a.ckpt, vocab)
-        index = _vocab_index(a.index, vocab)
+        index = load_index(a.index, vocab) if a.index else None
         wn = None
         if a.weightnet:
             wn, _ = load_weightnet(a.weightnet)

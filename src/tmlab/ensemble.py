@@ -38,7 +38,6 @@ from tmlab.model import (
     _pad_batch,
     _xavier,
     forward_rows,
-    tm_state,
     train,
 )
 from tmlab.retrieval import RetrievalIndex, TmPair, build_index, retrieve_topk
@@ -96,22 +95,27 @@ def combine_rows(mode: str, st, n_rows: int, weightnet=None):
     if mode in ("vanilla", "base", "single"):
         return p.astype(np.float64), None
     H, T, V = p.shape[0] // n_rows, p.shape[1], p.shape[2]
-
-    def grouped(a: np.ndarray) -> np.ndarray:          # (H, n_rows, T, ...)
-        return a.reshape(H, n_rows, *a.shape[1:])
-
-    # without h_tz the TMs shaped the decoder state, and mode_rows added a TM-free row
-    K = n_rows - (mode == "weighted" and st.h_tz is None)
     if mode == "average":
-        weights = _softmax64(np.zeros((H, T, K)))
+        weights = _softmax64(np.zeros((H, T, n_rows)))
     else:
-        h_t = grouped(st.h.data)[:, -1 if K < n_rows else 0]              # (H, T, D)
-        h_tk = grouped(tm_state(st).data)[:, :K].transpose(0, 2, 1, 3)    # (H, T, K, D)
         with ad.no_grad():
-            scores = weightnet_scores(weightnet, ad.Tensor(h_t), ad.Tensor(h_tk))
-        weights = _softmax64(scores.data)
-    dists = grouped(p)[:, :K].transpose(1, 0, 2, 3).reshape(K, H * T, V).astype(np.float64)
-    return mix_components(dists, weights.reshape(H * T, K)).reshape(H, T, V), weights
+            weights = _softmax64(mixture_scores(weightnet, st, n_rows).data)
+    K = weights.shape[-1]
+    dists = p.reshape(H, n_rows, T, V)[:, :K].transpose(1, 0, 2, 3).reshape(K, H * T, V)
+    return mix_components(dists.astype(np.float64), weights.reshape(H * T, K)).reshape(H, T, V), weights
+
+
+def mixture_scores(weightnet, st, n_rows: int) -> ad.Tensor:
+    """The weightnet's scores (H, T, K) over H groups of `weighted`'s `n_rows`
+    rows, and the one rule for the states it reads: h_t is row 0's decoder
+    state, or the TM-free row's when there is no h_tz (the TMs shaped h, so
+    `mode_rows` added that row); each TM row gives its h_tz, else its h."""
+    K = n_rows - (st.h_tz is None)
+    H, T, D = st.h.shape[0] // n_rows, st.h.shape[1], st.h.shape[2]
+    h = ad.reshape(st.h, (H, n_rows, T, D))
+    h_tm = h if st.h_tz is None else ad.reshape(st.h_tz, (H, n_rows, T, D))
+    return weightnet_scores(weightnet, h[:, K if K < n_rows else 0],
+                            ad.permute(h_tm[:, :K], (0, 2, 1, 3)))     # h_tk: (H, T, K, D)
 
 
 def _softmax64(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -258,6 +262,8 @@ def finetune_weighted(
         raise DataError(f"valid corpus has {len(valid_corpus)} pairs; need at least 10")
     if ckpt.config.arch not in ("dual_enc", "single_enc"):
         raise DataError("weighted ensemble needs a TM-capable checkpoint")
+    if k < 1:
+        raise DataError(f"the weighted fine-tune mixes k >= 1 TMs per query, got k={k}")
     sep = vocab.sep_id
     cfg = ckpt.config
     # fine-tune a private copy; the caller's single-TM checkpoint stays usable
@@ -272,37 +278,30 @@ def finetune_weighted(
     perm = substream(seed, "valid_split").permutation(len(enc_valid))
     n_fit = max(1, int(round(0.9 * len(enc_valid))))
     fit_ids = perm[:n_fit]
-    held_ids = perm[n_fit:]
-    if len(held_ids) == 0:
-        fit_ids, held_ids = perm[:-1], perm[-1:]
+    held_ids = perm[n_fit:]            # not empty: there are at least 10 pairs
 
     tms = {int(i): [tm_ids(z) for z in retrieve_topk(index, enc_valid[int(i)].source, k)]
            for i in perm}
     wn = init_weightnet(cfg.d_model, seed)
-    all_params = dict(ckpt.params)
-    all_params.update(wn)
+    all_params = {**ckpt.params, **wn}
     state = ad.adam_init(all_params, lr=lr)
     order_rng = substream(seed, "order")
     drop_rng = substream(seed, "dropout")
 
     def batch_loss(ids: Sequence[int], train: bool) -> ad.Tensor:
-        rows = [enc_valid[int(i)] for i in ids]
-        sources = [r.source for r in rows]
-        y_in = _pad_batch([(BOS,) + r.target for r in rows])
-        y_out = _pad_batch([r.target + (EOS,) for r in rows])
-        rng = drop_rng if train else None
-        state0 = forward_rows(ckpt.params, cfg, sep, sources, [()] * len(rows), y_in, rng, train)
-        p_parts, h_parts = [], []
-        B, T = y_in.shape
-        for kk in range(k):
-            sel = [tms[int(i)][kk : kk + 1] for i in ids]
-            st = forward_rows(ckpt.params, cfg, sep, sources, sel, y_in, rng, train)
-            p_parts.append(ad.reshape(st.p, (B, T, 1, cfg.vocab_size)))
-            h_parts.append(ad.reshape(tm_state(st), (B, T, 1, cfg.d_model)))
-        p_stack = ad.concat(p_parts, axis=2)            # (B, T, K, V)
-        h_stack = ad.concat(h_parts, axis=2)            # (B, T, K, D)
-        w = ad.softmax(weightnet_scores(wn, state0.h, h_stack), axis=-1)
-        mixed = ad.tsum(ad.mul(ad.reshape(w, (B, T, k, 1)), p_stack), axis=2)
+        # one forward over the `weighted` rows of every sentence, weighed as inference weighs them
+        pairs = [enc_valid[int(i)] for i in ids]
+        rows = [mode_rows("weighted", ckpt, tms[int(i)], wn) for i in ids]
+        R = len(rows[0])
+        y_in = np.repeat(_pad_batch([(BOS,) + r.target for r in pairs]), R, axis=0)
+        st = forward_rows(ckpt.params, cfg, sep, [r.source for r in pairs for _ in range(R)],
+                          [tm for rs in rows for tm in rs], y_in,
+                          drop_rng if train else None, train)
+        w = ad.softmax(mixture_scores(wn, st, R), axis=-1)                # (B, T, K)
+        B, T, K = w.shape
+        p = ad.reshape(st.p, (B, R, T, cfg.vocab_size))[:, :K]
+        mixed = ad.tsum(ad.mul(ad.reshape(ad.permute(w, (0, 2, 1)), (B, K, T, 1)), p), axis=1)
+        y_out = _pad_batch([r.target + (EOS,) for r in pairs])
         return ad.nll_from_probs(mixed, y_out, label_smoothing, PAD)
 
     def heldout_loss() -> float:

@@ -38,13 +38,12 @@ from tmlab.corpus import (
     encode_corpus,
 )
 from tmlab.errors import DataError, NumericError
-from tmlab.retrieval import RetrievalIndex, TmSet, build_index, retrieve_topk
+from tmlab.retrieval import DEFAULT_POOL, RetrievalIndex, TmSet, build_index, retrieve_topk
 from tmlab.seeding import substream
 
 ARCHITECTURES = ("vanilla", "single_enc", "dual_enc")
 TRAIN_MODES = ("none", "topk", "single_multi")
 NEG_BIAS = -1e9
-GATE_FLOOR = 1e-9  # target-side attention mass floor before renormalization
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ class TrainConfig:
     label_smoothing: float = 0.1
     clip_norm: float = 1.0
     k_retrieval: int = 5
-    pool: int = 100
 
 
 @dataclass
@@ -393,28 +391,9 @@ def masked_attention(scores: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     return ad.softmax(ad.add(scores, ad.Tensor(bias)), axis=-1)
 
 
-def tm_attention(h: ad.Tensor, pool: ad.Tensor, w_tm: ad.Tensor,
-                 valid: np.ndarray) -> ad.Tensor:
-    """Bilinear cross attention of the decoder state over TM token encodings."""
-    if not valid.any():
-        raise DataError("tm_attention needs at least one valid TM token")
-    return masked_attention(tm_attention_scores(h, pool, w_tm), valid)
-
-
-def copy_distribution(alpha: ad.Tensor, token_ids: np.ndarray, vocab_size: int,
-                      is_tgt: np.ndarray | None = None) -> ad.Tensor:
-    """Scatter attention mass onto the vocabulary.
-
-    When `is_tgt` is given, only target-side TM tokens receive mass and
-    the result is renormalized over that side (source-side tokens keep
-    their attention but contribute nothing to the vocabulary).
-    """
-    if is_tgt is None:
-        return ad.scatter_vocab(alpha, token_ids, vocab_size)
-    gate_mask = ad.Tensor(is_tgt[:, None, :].astype(alpha.data.dtype))
-    alpha_tgt = ad.mul(alpha, gate_mask)
-    mass = ad.clip_min(ad.tsum(alpha_tgt, axis=-1, keepdims=True), GATE_FLOOR)
-    return ad.div(ad.scatter_vocab(alpha_tgt, token_ids, vocab_size), mass)
+def copy_distribution(alpha: ad.Tensor, token_ids: np.ndarray, vocab_size: int) -> ad.Tensor:
+    """Scatter attention mass onto the vocabulary."""
+    return ad.scatter_vocab(alpha, token_ids, vocab_size)
 
 
 def mix_gate(lam: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor) -> ad.Tensor:
@@ -541,12 +520,6 @@ def _layout(cfg: ModelConfig, sep_id, sources, tm_lists) -> tuple[np.ndarray, Me
     return _pad_batch(sources), None
 
 
-def tm_state(state: DecoderState) -> ad.Tensor:
-    """The state that summarizes a row's TM: the contextualized TM state of a
-    dual-encoder forward that read one, else the (TM-aware) decoder state."""
-    return state.h_tz if state.h_tz is not None else state.h
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -589,7 +562,6 @@ def retrieve_training_tms(
     enc_corpus: ParallelCorpus,
     index: RetrievalIndex,
     k: int,
-    pool: int,
     same_store: bool,
 ) -> list[TmSet]:
     """Top-k TMs per training pair with self-exclusion.
@@ -607,7 +579,6 @@ def retrieve_training_tms(
                 k,
                 exclude_pair_id=p.pair_id if same_store else None,
                 exclude_exact=True,
-                pool=pool,
             )
         )
     return out
@@ -667,7 +638,7 @@ def train(
     if mode != "none":
         store = enc if datastore is None else encode_corpus(datastore, vocab)
         index = build_index(store)
-        tms = retrieve_training_tms(enc, index, tc.k_retrieval, tc.pool, datastore is None)
+        tms = retrieve_training_tms(enc, index, tc.k_retrieval, datastore is None)
 
     params = init_params(cfg, seed)
     state = ad.adam_init(params, lr=tc.base_lr)
@@ -699,7 +670,8 @@ def train(
         "vocab_hash": vocab.content_hash(),
         "seed": seed,
         "k_retrieval": tc.k_retrieval,
-        "pool": tc.pool,
+        "label_smoothing": tc.label_smoothing,
+        "pool": DEFAULT_POOL,
         "self_exclusion": mode != "none",
         "history": history,
     }

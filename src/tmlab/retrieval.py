@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tmlab.corpus import ParallelCorpus, corpus_from_pairs
+from tmlab.corpus import ParallelCorpus, Vocab, corpus_from_pairs, encode_corpus
 from tmlab.errors import DataError
 from tmlab.fileio import atomic_write_bytes
 
@@ -217,25 +217,13 @@ def brute_force_topk(
     return tuple(out)
 
 
-def sample_tm(
-    index: RetrievalIndex,
-    x: Sequence,
-    temperature: float,
-    rng: np.random.Generator,
-    pool: int = DEFAULT_POOL,
-) -> TmPair:
-    """Sample one pair from the candidate pool with P(z) ∝ exp(sim(x,z)/T)."""
-    probs, pairs = sample_tm_probs(index, x, temperature, pool=pool)
-    choice = rng.choice(len(pairs), p=probs)
-    return pairs[int(choice)]
-
-
 def sample_tm_probs(
     index: RetrievalIndex,
     x: Sequence,
     temperature: float,
     pool: int = DEFAULT_POOL,
 ) -> tuple[np.ndarray, list[TmPair]]:
+    """The sampling law P(z) ∝ exp(sim(x,z)/T) over the candidate pool, and the pool ranked."""
     if temperature <= 0:
         raise DataError(f"temperature must be > 0, got {temperature}")
     pairs = rank_by_similarity(index, x, candidates(index, x, limit=pool))
@@ -284,9 +272,10 @@ def load_index_corpus(path: str | Path) -> ParallelCorpus:
         raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None
 
 
-def load_index(path: str | Path) -> RetrievalIndex:
+def load_index(path: str | Path, vocab: Vocab | None = None) -> RetrievalIndex:
+    """The index over a TMIDX1 file's pairs; as vocab ids when `vocab` is given."""
     corpus = load_index_corpus(path)
     try:
-        return build_index(corpus)
+        return build_index(corpus if vocab is None else encode_corpus(corpus, vocab))
     except TypeError as e:  # a token that cannot be hashed
         raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from tmlab.cli import main
-from tmlab.corpus import load_tsv
+from tmlab.corpus import Vocab, load_tsv
+from tmlab.ensemble import finetune_weighted
+from tmlab.model import load_checkpoint
 
 
 @pytest.fixture()
@@ -181,6 +183,33 @@ def test_finetune_weight_cli(workdir):
     assert Path("wn.ckpt").exists()
     curve = Path("curve.tsv").read_text(encoding="utf-8").splitlines()
     assert curve[0].startswith("0\t")
+
+
+def test_finetune_weight_follows_its_backbone(workdir, capsys):
+    # trained with k = 2 and smoothing 0.05, not TrainConfig's defaults of 5 and 0.1
+    run("corpus", "synth", "--pairs", "60", "--templates", "3", "--lexicon", "8",
+        "--seed", "4", "--out", "c.tsv")
+    run("corpus", "split", "--tsv", "c.tsv", "--parts", "2", "--seed", "0",
+        "--out-dir", "parts")
+    assert run("train", "--tsv", "parts/part1.tsv", "--arch", "dual_enc",
+               "--mode", "single_multi", "--topk", "2", "--smoothing", "0.05", "--seed", "0",
+               "--out", "m.ckpt", "--quiet", *TRAIN_FLAGS) == 0
+    common = ["finetune-weight", "--ckpt", "m.ckpt", "--vocab", "m.ckpt.vocab",
+              "--valid-tsv", "parts/part2.tsv", "--datastore-tsv", "parts/part1.tsv",
+              "--updates", "2", "--seed", "0", "--out-ckpt", "mw.ckpt",
+              "--out-weightnet", "wn.ckpt"]
+    assert run(*common, "--curve-out", "curve.tsv") == 0
+    vocab = Vocab.load("m.ckpt.vocab")
+    ft = finetune_weighted(load_checkpoint("m.ckpt", vocab), load_tsv("parts/part2.tsv"), vocab,
+                           load_tsv("parts/part1.tsv"), updates=2, seed=0, k=2,
+                           label_smoothing=0.05)
+    assert Path("curve.tsv").read_text(encoding="utf-8") == \
+        "".join(f"{u}\t{l:.6f}\n" for u, l in ft.curve)
+
+    capsys.readouterr()
+    assert run(*common, "--topk", "0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 def test_biasvar_cli_and_rerun_identical(workdir):

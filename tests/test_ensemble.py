@@ -39,8 +39,10 @@ from tmlab.ensemble import (
 )
 from tmlab import autodiff as ad
 from tmlab.errors import DataError
+from tmlab.evalmetrics import token_ce
 from tmlab.model import ModelConfig, TrainConfig, init_params, train, Checkpoint
 from tmlab.retrieval import build_index, retrieve_topk
+from tmlab.seeding import substream
 
 TINY = dict(d_model=16, n_heads=2, ffn_dim=24, n_src_layers=1, n_mem_layers=1,
             n_dec_layers=1, dropout=0.0, max_len=48)
@@ -428,6 +430,23 @@ def test_finetune_weighted_single_enc(setup, arch_ckpts):
                        (BOS,) + p.target, weightnet=ft0.weightnet)
     a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
     np.testing.assert_array_equal(w, a)
+
+
+@pytest.mark.parametrize("store", ["k_or_more_pairs", "fewer_than_k_pairs"])
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_finetune_scores_what_inference_reads(setup, arch_ckpts, arch, store):
+    # update 0's held-out loss is the weighted mode's token CE on the held-out split
+    task, vocab, _, _, _ = setup
+    ckpt, k = arch_ckpts[0][arch], 3
+    valid_c = subset(task.corpus, range(30))
+    datastore = task.corpus if store == "k_or_more_pairs" else subset(task.corpus, range(30, 32))
+    ft = finetune_weighted(ckpt, valid_c, vocab, datastore, updates=0, seed=0, k=k,
+                           label_smoothing=0.0)
+    held = subset(valid_c, substream(0, "valid_split").permutation(30)[27:])
+    nats, _ = token_ce(ft.checkpoint, held, vocab, mode="weighted",
+                       index=build_index(encode_corpus(datastore, vocab)), k=k,
+                       weightnet=ft.weightnet)
+    assert abs(ft.curve[0][1] - nats) <= 1e-5
 
 
 @pytest.mark.parametrize("mode", PREDICT_MODES)

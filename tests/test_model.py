@@ -27,9 +27,10 @@ from tmlab.model import (
     forward_vanilla,
     init_params,
     load_checkpoint,
+    masked_attention,
     mix_gate,
     save_checkpoint,
-    tm_attention,
+    tm_attention_scores,
     train,
 )
 
@@ -123,6 +124,10 @@ def test_dual_memory_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def tm_attention(h, pool, w, valid):
+    return masked_attention(tm_attention_scores(h, pool, w), valid)
+
+
 def test_tm_attention_single_token_and_uniform():
     d = 6
     h = ad.Tensor(np.random.default_rng(0).normal(size=(1, 2, d)).astype(np.float32))
@@ -134,9 +139,6 @@ def test_tm_attention_single_token_and_uniform():
     same = ad.Tensor(np.tile(one.data, (1, 4, 1)))
     a4 = tm_attention(h, same, w, np.asarray([[True] * 4]))
     np.testing.assert_allclose(a4.data, 0.25, atol=1e-6)
-
-    with pytest.raises(DataError):
-        tm_attention(h, one, w, np.asarray([[False]]))
 
 
 def test_tm_attention_hand_softmax():
@@ -173,11 +175,13 @@ def test_copy_distribution_matches_brute_force_scatter():
 
 
 def test_copy_distribution_target_side_renormalizes():
-    alpha = ad.Tensor(np.asarray([[[0.5, 0.25, 0.25]]], dtype=np.float64))
+    # the dual-encoder forward's copy weights: a second masked softmax of the
+    # attention scores, over target-side slots only
+    scores = ad.Tensor(np.log(np.asarray([[[0.5, 0.25, 0.25]]])))
     ids = np.asarray([[3, 5, 6]])
-    is_tgt = np.asarray([[False, True, True]])
-    p = copy_distribution(alpha, ids, 8, is_tgt).data[0, 0]
-    assert p[3] == pytest.approx(0.0)
+    alpha_copy = masked_attention(scores, np.asarray([[False, True, True]]))
+    p = copy_distribution(alpha_copy, ids, 8).data[0, 0]
+    assert p[3] == 0.0
     assert p[5] == pytest.approx(0.5)
     assert p[6] == pytest.approx(0.5)
 
