@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -133,9 +135,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
+def _elementwise(op: str, fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """fn(a, b), with numpy's broadcast failure reported as a DataError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a, b)
     except ValueError:
         raise DataError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
@@ -147,24 +150,21 @@ def _check_shapes(op: str, a: np.ndarray, b: np.ndarray) -> None:
 def add(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_shapes("add", a.data, b.data)
-    out = a.data + b.data
+    out = _elementwise("add", operator.add, a.data, b.data)
     return _from_op(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_shapes("sub", a.data, b.data)
-    out = a.data - b.data
+    out = _elementwise("sub", operator.sub, a.data, b.data)
     return _from_op(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_shapes("mul", a.data, b.data)
-    out = a.data * b.data
+    out = _elementwise("mul", operator.mul, a.data, b.data)
     return _from_op(
         out, (a, b),
         lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
@@ -174,8 +174,7 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
-    _check_shapes("div", a.data, b.data)
-    out = a.data / b.data
+    out = _elementwise("div", operator.truediv, a.data, b.data)
     def vjp(g):
         ga = _unbroadcast(g / b.data, a.data.shape)
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
@@ -578,7 +577,11 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: "TMLAB1" magic, JSON manifest, little-endian blob
+# Checkpoint container: "TMLAB1" magic, a "<header length> <crc32>" line, JSON
+# manifest, little-endian blob. The CRC-32 (8 lowercase hex digits) covers
+# the length, a newline, the manifest and the blob: everything after the
+# magic but the checksum itself. A file whose line holds no checksum, as
+# earlier versions wrote them, loads unchecked.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"TMLAB1\n"
@@ -602,8 +605,9 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> 
         })
         blob.extend(raw)
     header = json.dumps({"tensors": entries, "meta": meta}, sort_keys=True).encode("utf-8")
-    payload = _MAGIC + f"{len(header)}\n".encode("ascii") + header + bytes(blob)
-    atomic_write_bytes(path, payload)
+    hlen = str(len(header)).encode("ascii")
+    crc = zlib.crc32(b"\n".join((hlen, header + bytes(blob))))
+    atomic_write_bytes(path, _MAGIC + hlen + f" {crc:08x}\n".encode("ascii") + header + bytes(blob))
 
 
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -613,7 +617,14 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     rest = raw[len(_MAGIC):]
     try:
         nl = rest.index(b"\n")
-        hlen = int(rest[:nl])
+        fields = rest[:nl].split(b" ")
+        if len(fields) > 2:
+            raise ValueError("malformed length line")
+        if len(fields) == 2:
+            crc = zlib.crc32(b"\n".join((fields[0], rest[nl + 1 :])))
+            if fields[1] != f"{crc:08x}".encode("ascii"):
+                raise ValueError("checksum mismatch")
+        hlen = int(fields[0])
         head = rest[nl + 1 : nl + 1 + hlen]
         if len(head) != hlen:
             raise ValueError("header is cut short")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, SEP_TOKEN, Vocab, build_vocab, encode_corpus, split_equal
-from tmlab.ensemble import mode_seq_probs, tm_ids, train_family
+from tmlab.ensemble import batch_seq_probs, tm_ids, train_family
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import ModelConfig, TrainConfig
@@ -222,14 +222,12 @@ def _run_split_unit(payload: dict) -> dict[str, np.ndarray]:
 
     family = train_family(modes, split_corpus, vocab, recipe, payload["sub_seed"],
                           payload["valid"], payload["finetune_updates"])
+    items = [(p.source, Z, (BOS,) + p.target) for p, Z in zip(enc_test, retrieved)]
     out: dict[str, np.ndarray] = {}
     for mode in modes:
         ckpt, wn = family.member(mode)
-        out[mode] = np.concatenate([
-            mode_seq_probs(mode, ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target,
-                           weightnet=wn)
-            for p, Z in zip(enc_test, retrieved)
-        ], axis=0)
+        out[mode] = np.concatenate(
+            [probs for probs, _ in batch_seq_probs(mode, ckpt, vocab.sep_id, items, wn)], axis=0)
     return out
 
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
         "version": tmlab.__version__,
         "argv": argv,
         "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+        "cwd": os.getcwd(),
     }
     atomic_write_text(_manifest_path(primary_output), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -443,14 +445,25 @@ def _cmd_experiment(a, argv) -> int:
 
 
 def _cmd_rerun(a, _argv) -> int:
+    """Run the recorded argv in the recorded directory, so that its relative
+    paths mean what they meant; a manifest without one runs here."""
     try:
-        argv = json.loads(Path(a.manifest).read_text(encoding="utf-8"))["argv"]
+        doc = json.loads(Path(a.manifest).read_text(encoding="utf-8"))
+        argv, cwd = doc["argv"], doc.get("cwd")
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{a.manifest}: not a rerunnable manifest ({type(e).__name__}: {e})") from None
     if (not isinstance(argv, list) or not all(isinstance(t, str) for t in argv)
-            or (argv and argv[0] == "rerun")):
+            or (argv and argv[0] == "rerun") or not isinstance(cwd, (str, type(None)))):
         raise DataError(f"{a.manifest}: not a rerunnable manifest")
-    return run(argv)
+    here = os.getcwd()
+    try:
+        os.chdir(cwd or here)
+    except OSError:
+        raise DataError(f"{a.manifest}: its run directory {cwd} is not available") from None
+    try:
+        return run(argv)
+    finally:
+        os.chdir(here)
 
 
 # ---------------------------------------------------------------------------

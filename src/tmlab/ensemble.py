@@ -145,21 +145,48 @@ def mix_components(dists: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Teacher-forced sequence distributions (single example, no grad)
+# Teacher-forced sequence distributions (no grad)
 # ---------------------------------------------------------------------------
 
-def _teacher_forced(mode, ckpt, sep_id, x, Z, y_in, weightnet):
-    rows = mode_rows(mode, ckpt, Z, weightnet)
-    y = np.repeat(np.asarray([list(y_in)], dtype=np.int64), len(rows), axis=0)
-    with ad.no_grad():
-        st = forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(rows), rows, y)
-    probs, weights = combine_rows(mode, st, len(rows), weightnet)
-    return probs[0], None if weights is None else weights[0]
+# Most floats in one teacher-forced forward's (rows, T, V) output; a larger
+# group runs as several forwards, never splitting a sentence's rows.
+MAX_FORWARD_FLOATS = 1 << 22
+
+
+def batch_seq_probs(mode: str, ckpt, sep_id, items: Sequence[tuple], weightnet=None):
+    """Each (x, Z, y_in) item's distributions (T, V) in `mode`, and its
+    mixture weights (T, K) for an ensemble mode (else None), in input order.
+
+    Items whose source, target prefix and row TMs have equal lengths share
+    one forward. No row is padded beyond what it is alone, so every result
+    is bitwise the single item's: numpy runs one GEMM per batch item and
+    every reduction stays within a row.
+    """
+    rows = [mode_rows(mode, ckpt, Z, weightnet) for _, Z, _ in items]
+    groups: dict[tuple, list[int]] = {}
+    for i, ((x, _, y_in), rs) in enumerate(zip(items, rows)):
+        shape = tuple(tuple((len(src), len(tgt)) for src, tgt in r) for r in rs)
+        groups.setdefault((len(x), len(y_in), shape), []).append(i)
+    out: list = [None] * len(items)
+    for (_, T, shape), members in groups.items():
+        R = len(shape)
+        per_forward = max(1, MAX_FORWARD_FLOATS // (R * T * ckpt.config.vocab_size))
+        for lo in range(0, len(members), per_forward):
+            ids = members[lo : lo + per_forward]
+            y = np.asarray([items[i][2] for i in ids for _ in range(R)], dtype=np.int64)
+            with ad.no_grad():
+                st = forward_rows(ckpt.params, ckpt.config, sep_id,
+                                  [tuple(items[i][0]) for i in ids for _ in range(R)],
+                                  [tm for i in ids for tm in rows[i]], y)
+            probs, weights = combine_rows(mode, st, R, weightnet)
+            for j, i in enumerate(ids):
+                out[i] = (probs[j], None if weights is None else weights[j])
+    return out
 
 
 def weighted_seq_probs(ckpt, weightnet, sep_id, x, Z: Sequence[TmIds], y_in,
                        return_weights: bool = False):
-    probs, weights = _teacher_forced("weighted", ckpt, sep_id, x, Z, y_in, weightnet)
+    probs, weights = batch_seq_probs("weighted", ckpt, sep_id, [(x, Z, y_in)], weightnet)[0]
     return (probs, weights) if return_weights else probs
 
 
@@ -167,11 +194,11 @@ def mode_seq_probs(mode: str, ckpt, sep_id, x, Z: Sequence[TmIds], y_in,
                    weightnet=None) -> np.ndarray:
     """Next-token distributions (T, V) at every step of y_in, in one mode.
 
-    Scoring, the bias-variance estimator and the teacher-forced step
-    function predict through it; incremental decoding reads the same
-    `mode_rows` and `combine_rows`.
+    A one-item `batch_seq_probs`, which scoring and the bias-variance
+    estimator call with whole test sets; incremental decoding reads the
+    same `mode_rows` and `combine_rows`.
     """
-    return _teacher_forced(mode, ckpt, sep_id, x, Z, y_in, weightnet)[0]
+    return batch_seq_probs(mode, ckpt, sep_id, [(x, Z, y_in)], weightnet)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +332,14 @@ def finetune_weighted(
         return ad.nll_from_probs(mixed, y_out, label_smoothing, PAD)
 
     def heldout_loss() -> float:
+        # per target token over the whole held-out split, as `token_ce` counts
         with ad.no_grad():
             total, n = 0.0, 0
             for lo in range(0, len(held_ids), batch_size):
                 ids = held_ids[lo : lo + batch_size]
-                total += float(batch_loss(ids, train=False).data) * len(ids)
-                n += len(ids)
+                tokens = sum(len(enc_valid[int(i)].target) + 1 for i in ids)
+                total += float(batch_loss(ids, train=False).data) * tokens
+                n += tokens
         return total / n
 
     eval_every = eval_every or max(1, updates // 10)

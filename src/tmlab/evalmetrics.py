@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, Vocab, encode_corpus
-from tmlab.ensemble import mode_seq_probs, tm_ids
+from tmlab.ensemble import MAX_FORWARD_FLOATS, batch_seq_probs, tm_ids
 from tmlab.errors import DataError
 from tmlab.model import Checkpoint
 from tmlab.retrieval import RetrievalIndex, retrieve_topk
@@ -96,14 +96,19 @@ def token_ce(
         raise DataError(f"mode '{mode}' needs a retrieval index")
     enc = encode_corpus(corpus, vocab)
     sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
-    total, count = 0.0, 0
+    items = []
     for p in enc:
-        zs = []
-        if mode != "vanilla":
-            zs = [tm_ids(z) for z in retrieve_topk(index, p.source, k)]
-        probs = mode_seq_probs(mode, ckpt, sep, p.source, zs, (BOS,) + p.target, weightnet=weightnet)
-        golds = np.asarray(p.target + (EOS,), dtype=np.int64)
-        total += token_ce_from_dists(probs, golds) * len(golds)
-        count += len(golds)
+        zs = [tm_ids(z) for z in retrieve_topk(index, p.source, k)] if mode != "vanilla" else []
+        items.append((p.source, zs, (BOS,) + p.target))
+    # a slice of the test set per call keeps its distributions within one forward's cap
+    T = max((len(p.target) + 1 for p in enc), default=1)
+    per_call = max(1, MAX_FORWARD_FLOATS // (T * ckpt.config.vocab_size))
+    total, count = 0.0, 0
+    for lo in range(0, len(items), per_call):
+        dists = batch_seq_probs(mode, ckpt, sep, items[lo : lo + per_call], weightnet)
+        for p, (probs, _) in zip(enc.pairs[lo : lo + per_call], dists):
+            golds = np.asarray(p.target + (EOS,), dtype=np.int64)
+            total += token_ce_from_dists(probs, golds) * len(golds)
+            count += len(golds)
     nats = total / count
     return nats, math.exp(nats)

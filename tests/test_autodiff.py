@@ -41,6 +41,12 @@ def test_matmul_shape_error_names_shapes():
         ad.matmul(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_elementwise_shape_error_names_shapes(op):
+    with pytest.raises(DataError, match=rf"{op.__name__}: incompatible shapes \(2, 3\) and \(4,\)"):
+        op(t64(np.ones((2, 3))), t64(np.ones(4)))
+
+
 def test_exp_log_softmax_normalized():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(4, 9)))
@@ -335,10 +341,43 @@ def test_load_arrays_corrupt_file_raises_data_error(tmp_path, data):
     flipped = bytearray(raw)
     flipped[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(st.integers(1, 255))
     bad.write_bytes(bytes(flipped))
-    try:
-        ad.load_arrays(bad)  # a flipped tensor byte or meta digit still loads
-    except DataError:
-        pass
+    with pytest.raises(DataError):
+        ad.load_arrays(bad)
+
+
+def _small_file(tmp_path):
+    good = tmp_path / "good.tmlab"
+    ad.save_arrays(good, {"b": np.arange(3, dtype=np.float64),
+                          "w": np.ones((2, 3), dtype=np.float32)}, {"arch": "vanilla"})
+    return good.read_bytes()
+
+
+def test_load_arrays_every_byte_flip_raises_data_error(tmp_path):
+    # masks that turn digits into letters, case-fold hex, make spaces and newlines
+    raw = _small_file(tmp_path)
+    bad = tmp_path / "bad.tmlab"
+    for at in range(len(raw)):
+        for mask in (0x01, 0x10, 0x20, 0x80, 0xFF, raw[at] ^ 0x20, raw[at] ^ 0x0A):
+            if mask == 0:
+                continue
+            flipped = bytearray(raw)
+            flipped[at] ^= mask
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(DataError):
+                ad.load_arrays(bad)
+
+
+def test_load_arrays_reads_files_without_a_checksum(tmp_path):
+    # the length line of earlier files holds the header length alone
+    raw = _small_file(tmp_path)
+    line_end = raw.index(b"\n", len(b"TMLAB1\n"))
+    length, crc = raw[len(b"TMLAB1\n"):line_end].split(b" ")
+    assert len(crc) == 8
+    old = tmp_path / "old.tmlab"
+    old.write_bytes(b"TMLAB1\n" + length + raw[line_end:])
+    arrays, meta = ad.load_arrays(old)
+    assert meta == {"arch": "vanilla"}
+    np.testing.assert_array_equal(arrays["b"], np.arange(3, dtype=np.float64))
 
 
 @pytest.mark.parametrize("after_magic", [b"", b"12", b"x\n{}", b"2\n{}", b'30\n{"tensors": [], "meta": {}}'])

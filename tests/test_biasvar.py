@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmlab import biasvar
 from tmlab.biasvar import (
     FULL_SCALE_REFERENCE,
     decompose,
@@ -19,10 +20,14 @@ from tmlab.biasvar import (
     mc_variance_check,
     truncate_top,
 )
-from tmlab.corpus import subset, synth_task
+from tmlab.corpus import BOS, SEP_TOKEN, build_vocab, encode_corpus, subset, synth_task
+from tmlab.ensemble import (
+    PREDICT_MODES, Family, FinetuneResult, init_weightnet, mode_seq_probs, tm_ids,
+)
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
-from tmlab.model import ModelConfig, TrainConfig
+from tmlab.model import Checkpoint, ModelConfig, TrainConfig, init_params
+from tmlab.retrieval import build_index, retrieve_topk
 
 
 def dirichlet_lists(size):
@@ -192,6 +197,33 @@ def test_estimate_bias_variance_smoke_and_determinism():
     rows = rep1.csv_rows()
     assert len(rows) == 4 and rows[0][1] == "forward_kl"
     assert "bias_variance_report" in rep1.to_text()
+
+
+def test_estimator_dists_equal_the_per_sentence_loop_bitwise(monkeypatch):
+    task = synth_task(n_pairs=60, n_templates=5, lexicon_size=8, seed=3)
+    vocab = build_vocab(((p.source, p.target) for p in task.corpus), extra=(SEP_TOKEN,))
+    split, enc_test = subset(task.corpus, range(40)), encode_corpus(subset(task.corpus, range(40, 60)), vocab)
+    cfg = ModelConfig(vocab_size=len(vocab), arch="dual_enc", **TINY)
+    ckpts = {tm: Checkpoint(params=init_params(cfg, seed=s), config=cfg, meta={})
+             for s, tm in enumerate(("none", "topk", "single_multi"))}
+    wn = init_weightnet(cfg.d_model, seed=1)
+    wn["wn.score_w"].data = np.random.default_rng(2).normal(size=(cfg.d_model, 1)).astype(np.float32)
+    family = Family(ckpts, FinetuneResult(ckpts["single_multi"], wn, [], 0))
+    monkeypatch.setattr(biasvar, "train_family", lambda *args: family)
+    tc = TrainConfig(k_retrieval=3)
+    out = biasvar._run_split_unit({
+        "modes": PREDICT_MODES, "split": split, "vocab": vocab, "enc_test": enc_test,
+        "train_cfg": tc, "verbose": False, "config": cfg, "sub_seed": 0, "valid": None,
+        "finetune_updates": 0})
+    index = build_index(encode_corpus(split, vocab))
+    for mode in PREDICT_MODES:
+        ckpt, w = family.member(mode)
+        want = np.concatenate([
+            mode_seq_probs(mode, ckpt, vocab.sep_id, p.source,
+                           [tm_ids(z) for z in retrieve_topk(index, p.source, 3)],
+                           (BOS,) + p.target, weightnet=w)
+            for p in enc_test])
+        np.testing.assert_array_equal(out[mode], want)
 
 
 def test_parallel_estimator_equals_serial(monkeypatch):

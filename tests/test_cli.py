@@ -47,7 +47,8 @@ def test_data_errors_exit_2(workdir, capsys):
 
 
 @pytest.mark.parametrize("manifest", ['{"argv": ["corpus"', '{"cmd": []}', '["corpus"]',
-                                      '{"argv": [1, 2]}', '{"argv": ["rerun"]}'])
+                                      '{"argv": [1, 2]}', '{"argv": ["rerun"]}',
+                                      '{"argv": ["corpus"], "cwd": 3}'])
 def test_rerun_malformed_manifest_exits_2(workdir, capsys, manifest):
     Path("m.json").write_text(manifest, encoding="utf-8")
     assert run("rerun", "--manifest", "m.json") == 2
@@ -125,6 +126,34 @@ def test_train_translate_eval_roundtrip(workdir, capsys):
                "--topk", "2", "--json-lines") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["nats_per_token"] > 0
+
+
+def test_rerun_from_another_directory(workdir, monkeypatch, capsys):
+    run("corpus", "synth", "--pairs", "40", "--templates", "3", "--lexicon", "8",
+        "--seed", "2", "--out", "c.tsv")
+    assert run("train", "--tsv", "c.tsv", "--arch", "dual_enc", "--mode", "topk",
+               "--topk", "2", "--seed", "0", "--out", "m.ckpt", "--quiet", *TRAIN_FLAGS) == 0
+    run("index", "build", "--tsv", "c.tsv", "--out", "c.idx")
+    Path("in.txt").write_text("\n".join(l.split("\t")[0] for l in Path("c.tsv").read_text(
+        encoding="utf-8").splitlines()[:3]) + "\n", encoding="utf-8")
+    assert run("translate", "--mode", "base", "--topk", "2", "--index", "c.idx",
+               "--ckpt", "m.ckpt", "--vocab", "m.ckpt.vocab",
+               "--input", "in.txt", "--out", "hyp.txt") == 0
+    first = Path("hyp.txt").read_bytes()
+    Path("hyp.txt").unlink()
+    (workdir / "elsewhere").mkdir()
+    monkeypatch.chdir(workdir / "elsewhere")
+    assert run("rerun", "--manifest", "../hyp.txt.manifest.json") == 0
+    assert (workdir / "hyp.txt").read_bytes() == first
+    assert Path.cwd() == workdir / "elsewhere" and not Path("hyp.txt").exists()
+
+    # a manifest without the directory runs where it is called, as before
+    doc = json.loads((workdir / "hyp.txt.manifest.json").read_text(encoding="utf-8"))
+    del doc["cwd"]
+    Path("m.json").write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run("rerun", "--manifest", "m.json") == 2
+    assert "missing file" in capsys.readouterr().err
 
 
 def test_translate_bad_input_exits_2(workdir, capsys):

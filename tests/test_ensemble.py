@@ -432,17 +432,20 @@ def test_finetune_weighted_single_enc(setup, arch_ckpts):
     np.testing.assert_array_equal(w, a)
 
 
-@pytest.mark.parametrize("store", ["k_or_more_pairs", "fewer_than_k_pairs"])
+@pytest.mark.parametrize("store", ["k_or_more_pairs", "fewer_than_k_pairs", "heldout_of_two_batches"])
 @pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
 def test_finetune_scores_what_inference_reads(setup, arch_ckpts, arch, store):
     # update 0's held-out loss is the weighted mode's token CE on the held-out split
     task, vocab, _, _, _ = setup
     ckpt, k = arch_ckpts[0][arch], 3
-    valid_c = subset(task.corpus, range(30))
-    datastore = task.corpus if store == "k_or_more_pairs" else subset(task.corpus, range(30, 32))
+    # 200 pairs hold out 20, scored in batches of 16 and 4
+    n_valid = 200 if store == "heldout_of_two_batches" else 30
+    valid_c = subset(task.corpus, [i % len(task.corpus) for i in range(n_valid)])
+    datastore = subset(task.corpus, range(30, 32)) if store == "fewer_than_k_pairs" else task.corpus
     ft = finetune_weighted(ckpt, valid_c, vocab, datastore, updates=0, seed=0, k=k,
                            label_smoothing=0.0)
-    held = subset(valid_c, substream(0, "valid_split").permutation(30)[27:])
+    n_fit = int(round(0.9 * n_valid))
+    held = subset(valid_c, substream(0, "valid_split").permutation(n_valid)[n_fit:])
     nats, _ = token_ce(ft.checkpoint, held, vocab, mode="weighted",
                        index=build_index(encode_corpus(datastore, vocab)), k=k,
                        weightnet=ft.weightnet)

@@ -7,12 +7,22 @@ from hypothesis import strategies as st
 
 from tmlab.biasvar import decompose
 from tmlab.corpus import EOS, SEP_TOKEN, build_vocab, encode_corpus, synth_task
-from tmlab.ensemble import mode_seq_probs
+from tmlab import ensemble, evalmetrics
+from tmlab.ensemble import (
+    batch_seq_probs,
+    combine_rows,
+    init_weightnet,
+    mode_rows,
+    mode_seq_probs,
+    tm_ids,
+    weighted_seq_probs,
+)
 from tmlab.errors import DataError
 from tmlab.evalmetrics import BleuResult, corpus_bleu, token_ce, token_ce_from_dists
-from tmlab.model import ModelConfig, TrainConfig, init_params, train, Checkpoint
-from tmlab.corpus import BOS
-from tmlab.retrieval import build_index
+from tmlab.model import ModelConfig, TrainConfig, forward_rows, init_params, train, Checkpoint
+from tmlab.corpus import BOS, subset
+from tmlab.retrieval import build_index, retrieve_topk
+from tmlab import autodiff as ad
 
 sentences = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=7)
 
@@ -159,3 +169,100 @@ def test_token_ce_vocab_guard(tiny_task):
                       meta={"vocab_hash": "not-the-right-hash"})
     with pytest.raises(DataError, match="vocab mismatch"):
         token_ce(ckpt, task.corpus, vocab)
+
+
+# ---------------------------------------------------------------------------
+# Batched teacher-forced scoring
+# ---------------------------------------------------------------------------
+
+ARCH_MODES = [("vanilla", "vanilla")] + [(a, m) for a in ("dual_enc", "single_enc")
+                                          for m in ensemble.PREDICT_MODES]
+
+
+@pytest.fixture(scope="module")
+def mixed_task():
+    """Test sentences of several lengths, most lengths shared by several."""
+    task = synth_task(n_pairs=72, n_templates=5, lexicon_size=8, seed=3)
+    vocab = build_vocab(((p.source, p.target) for p in task.corpus), extra=(SEP_TOKEN,))
+    test = subset(task.corpus, range(48, 72))
+    index = build_index(encode_corpus(subset(task.corpus, range(48)), vocab))
+    assert len({len(p.source) for p in test}) > 1
+    ckpts = {}
+    for arch in ("vanilla", "dual_enc", "single_enc"):
+        cfg = ModelConfig(vocab_size=len(vocab), arch=arch, **{**TINY, "max_len": 128})
+        params = init_params(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        for name in ("out_w", "gate.w", "gate.b"):
+            if name in params:
+                params[name].data = rng.normal(scale=0.5, size=params[name].data.shape).astype(np.float32)
+        ckpts[arch] = Checkpoint(params=params, config=cfg, meta={})
+    wn = init_weightnet(TINY["d_model"], seed=2)
+    wn["wn.score_w"].data = np.random.default_rng(6).normal(size=wn["wn.score_w"].data.shape).astype(np.float32)
+    return test, vocab, index, ckpts, wn
+
+
+def _k(mode):
+    return {"vanilla": 0, "single": 1}.get(mode, 3)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["one_forward_per_shape", "row_cap"])
+@pytest.mark.parametrize("arch, mode", ARCH_MODES)
+def test_token_ce_batched_equals_per_sentence_bitwise(mixed_task, monkeypatch, arch, mode, capped):
+    test, vocab, index, ckpts, wn = mixed_task
+    ckpt, sep = ckpts[arch], vocab.sep_id if arch != "vanilla" else None
+    wn = wn if mode == "weighted" else None
+    total, count = 0.0, 0
+    for p in encode_corpus(test, vocab):
+        Z = [tm_ids(z) for z in retrieve_topk(index, p.source, _k(mode))]
+        probs = mode_seq_probs(mode, ckpt, sep, p.source, Z, (BOS,) + p.target, wn)
+        golds = np.asarray(p.target + (EOS,), dtype=np.int64)
+        total += token_ce_from_dists(probs, golds) * len(golds)
+        count += len(golds)
+
+    batches = []
+    real_forward = ensemble.forward_rows
+
+    def counted(*args, **kwargs):
+        batches.append(len(args[3]))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "forward_rows", counted)
+    index_k = dict(index=index, k=_k(mode)) if mode != "vanilla" else {}
+    nats, _ = token_ce(ckpt, test, vocab, mode=mode, weightnet=wn, **index_k)
+    assert nats == total / count                      # bit for bit
+    R = len(mode_rows(mode, ckpt, [((1,), (1,))] * 3, wn))
+    assert len(batches) < len(test) and max(batches) > R
+    if capped:
+        # a cap that fits two of the longest sentences' rows splits some group,
+        # and token_ce passes 2R sentences per call
+        V, T = len(vocab), max(len(p.target) for p in test) + 1
+        monkeypatch.setattr(ensemble, "MAX_FORWARD_FLOATS", 2 * R * T * V)
+        monkeypatch.setattr(evalmetrics, "MAX_FORWARD_FLOATS", 2 * R * T * V)
+        uncapped, batches[:] = len(batches), []
+        assert token_ce(ckpt, test, vocab, mode=mode, weightnet=wn, **index_k)[0] == nats
+        assert len(batches) > uncapped and max(batches) > R
+
+
+def _one_forward(mode, ckpt, sep, x, Z, y_in, wn):
+    """One sentence's rows in one forward: the teacher-forced path before batching."""
+    rows = mode_rows(mode, ckpt, Z, wn)
+    y = np.repeat(np.asarray([y_in], dtype=np.int64), len(rows), axis=0)
+    with ad.no_grad():
+        st = forward_rows(ckpt.params, ckpt.config, sep, [tuple(x)] * len(rows), rows, y)
+    probs, weights = combine_rows(mode, st, len(rows), wn)
+    return probs[0], weights[0]
+
+
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_weighted_seq_probs_and_weights_unchanged_bitwise(mixed_task, arch):
+    test, vocab, index, ckpts, wn = mixed_task
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    items = [(p.source, [tm_ids(z) for z in retrieve_topk(index, p.source, 3)], (BOS,) + p.target)
+             for p in encode_corpus(test, vocab)]
+    batched = batch_seq_probs("weighted", ckpt, sep, items, wn)
+    for (x, Z, y_in), (bp, bw) in zip(items, batched):
+        probs, weights = weighted_seq_probs(ckpt, wn, sep, x, Z, y_in, return_weights=True)
+        ref_p, ref_w = _one_forward("weighted", ckpt, sep, x, Z, y_in, wn)
+        for got in ((probs, weights), (bp, bw)):
+            np.testing.assert_array_equal(got[0], ref_p)
+            np.testing.assert_array_equal(got[1], ref_w)
