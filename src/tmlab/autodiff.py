@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from tmlab.errors import DataError
+from tmlab.errors import DataError, NumericError
 from tmlab.fileio import atomic_write_bytes
 
 _grad_enabled = True
@@ -63,9 +63,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -454,13 +451,13 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 # Losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy_label_smoothed(
-    logits: Tensor,
-    targets: np.ndarray,
-    smoothing: float = 0.0,
-    pad_id: int = 0,
-) -> Tensor:
-    """Label-smoothed cross entropy averaged over non-pad targets.
+# Probabilities are floored here before the log, so that exact zeros from
+# copy distributions cannot produce infinities.
+PROB_FLOOR = 1e-9
+
+
+def smoothed_nll(logp: Tensor, targets: np.ndarray, smoothing: float, pad_id: int) -> Tensor:
+    """Label-smoothed NLL of log-probabilities (..., V), averaged over non-pad targets.
 
     The smoothed target distribution is (1-eps) one-hot plus eps uniform
     over the whole vocabulary; smoothing 0 is plain NLL.
@@ -468,68 +465,55 @@ def cross_entropy_label_smoothed(
     if not 0.0 <= smoothing < 1.0:
         raise DataError(f"smoothing must be in [0, 1), got {smoothing}")
     targets = np.asarray(targets)
-    V = logits.data.shape[-1]
+    V = logp.data.shape[-1]
     if targets.size and targets.max() >= V:
         raise DataError(f"target id {int(targets.max())} out of range for vocab {V}")
     mask = (targets != pad_id)
     n = int(mask.sum())
     if n == 0:
         raise DataError("all targets are padding; nothing to average")
-    lsm = log_softmax(logits, axis=-1)
-    nll = neg(gather_last(lsm, targets))
-    per_tok = nll if smoothing == 0.0 else add(
-        mul(nll, 1.0 - smoothing), mul(neg(tmean(lsm, axis=-1)), smoothing)
-    )
-    masked = mul(per_tok, Tensor(mask.astype(logits.data.dtype)))
-    return mul(tsum(masked), 1.0 / n)
-
-
-def nll_from_probs(
-    probs: Tensor,
-    targets: np.ndarray,
-    smoothing: float = 0.0,
-    pad_id: int = 0,
-    floor: float = 1e-9,
-) -> Tensor:
-    """Same loss but for models that emit probabilities (mixtures).
-
-    Probabilities are floored before the log so exact zeros from copy
-    distributions cannot produce infinities.
-    """
-    targets = np.asarray(targets)
-    mask = (targets != pad_id)
-    n = int(mask.sum())
-    if n == 0:
-        raise DataError("all targets are padding; nothing to average")
-    logp = tlog(clip_min(probs, floor))
     nll = neg(gather_last(logp, targets))
     per_tok = nll if smoothing == 0.0 else add(
         mul(nll, 1.0 - smoothing), mul(neg(tmean(logp, axis=-1)), smoothing)
     )
-    masked = mul(per_tok, Tensor(mask.astype(probs.data.dtype)))
+    masked = mul(per_tok, Tensor(mask.astype(logp.data.dtype)))
     return mul(tsum(masked), 1.0 / n)
+
+
+def cross_entropy_label_smoothed(logits: Tensor, targets: np.ndarray, smoothing: float = 0.0,
+                                 pad_id: int = 0) -> Tensor:
+    """`smoothed_nll` of the softmax of `logits`."""
+    return smoothed_nll(log_softmax(logits, axis=-1), targets, smoothing, pad_id)
+
+
+def nll_from_probs(probs: Tensor, targets: np.ndarray, smoothing: float = 0.0,
+                   pad_id: int = 0) -> Tensor:
+    """`smoothed_nll` of probabilities (mixtures), floored at PROB_FLOOR."""
+    return smoothed_nll(tlog(clip_min(probs, PROB_FLOOR)), targets, smoothing, pad_id)
 
 
 # ---------------------------------------------------------------------------
 # Optimizer and schedule
 # ---------------------------------------------------------------------------
 
+# The one update rule: gradients clipped to a global norm of CLIP_NORM, then
+# a bias-corrected Adam step with these moment decays and epsilon.
+CLIP_NORM = 1.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moments plus hyperparameters; step count t starts at 0."""
+    """Per-parameter moments and the default learning rate; step count t starts at 0."""
 
     lr: float = 7e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, Tensor], lr: float = 7e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: dict[str, Tensor], lr: float = 7e-4) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p.data)
         state.v[name] = np.zeros_like(p.data)
@@ -545,7 +529,7 @@ def adam_step(
     """One bias-corrected update; mutates params in place and returns them."""
     state.t += 1
     lr = state.lr if lr is None else lr
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -556,8 +540,22 @@ def adam_step(
             raise DataError(f"adam_step: shape drift for '{name}'")
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        p.data = p.data - lr * (m / c1) / np.sqrt(v / c2 + state.eps)
+        p.data = p.data - lr * (m / c1) / np.sqrt(v / c2 + ADAM_EPS)
     return params
+
+
+def update(loss: Tensor, params: dict[str, Tensor], state: AdamState, step: int,
+           lr: float | None = None) -> float:
+    """The one optimiser update: gradients of `loss` clipped to CLIP_NORM, then
+    an Adam step at `lr` (default: the state's). A non-finite loss raises
+    before any parameter moves. Returns the loss."""
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite loss at update {step}")
+    zero_grads(params.values())
+    backward(loss, params=params.values())
+    adam_step(params, clip_global_norm({k: p.grad for k, p in params.items()}, CLIP_NORM), state, lr)
+    return value
 
 
 def lr_inverse_sqrt(step: int, base_lr: float, warmup: int) -> float:

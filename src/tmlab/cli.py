@@ -9,7 +9,6 @@ a manifest from which `tmlab rerun` reproduces the run byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -76,15 +75,10 @@ def _model_config_args(p: argparse.ArgumentParser) -> None:
 def _train_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=7e-4)
+    p.add_argument("--lr", type=float, default=7e-4, dest="base_lr")
     p.add_argument("--warmup", type=int, default=200)
-    p.add_argument("--smoothing", type=float, default=0.1)
-    p.add_argument("--topk", type=int, default=5)
-
-
-def _train_config(a) -> TrainConfig:
-    return TrainConfig(epochs=a.epochs, batch_size=a.batch_size, base_lr=a.lr,
-                       warmup=a.warmup, label_smoothing=a.smoothing, k_retrieval=a.topk)
+    p.add_argument("--smoothing", type=float, default=0.1, dest="label_smoothing")
+    p.add_argument("--topk", type=int, default=5, dest="k_retrieval")
 
 
 def build_parser() -> _Parser:
@@ -293,7 +287,7 @@ def _cmd_train(a, argv) -> int:
         ((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     datastore = load_tsv(a.datastore_tsv) if a.datastore_tsv else None
     ckpt = train(a.arch, corpus, a.mode, ModelConfig.from_attrs(a, len(vocab), a.arch),
-                 _train_config(a), a.seed, vocab=vocab, datastore=datastore,
+                 TrainConfig.from_attrs(a), a.seed, vocab=vocab, datastore=datastore,
                  verbose=not a.quiet)
     save_checkpoint(ckpt, a.out)
     vocab_out = a.vocab_out or (a.out + ".vocab")
@@ -325,17 +319,21 @@ def _cmd_finetune_weight(a, argv) -> int:
     return 0
 
 
-def _cmd_translate(a, argv) -> int:
-    vocab = Vocab.load(a.vocab)
-    ckpt = load_checkpoint(a.ckpt, vocab)
+def _load_model(a):
+    """The vocab, checkpoint, retrieval index and weightnet that `--mode` reads."""
     if a.mode != "vanilla" and not a.index:
         raise UsageError(f"--mode {a.mode} needs --index")
+    if a.mode == "weighted" and not a.weightnet:
+        raise UsageError("--mode weighted needs --weightnet")
+    vocab = Vocab.load(a.vocab)
+    ckpt = load_checkpoint(a.ckpt, vocab)
     index = load_index(a.index, vocab) if a.index else None
-    wn = None
-    if a.mode == "weighted":
-        if not a.weightnet:
-            raise UsageError("--mode weighted needs --weightnet")
-        wn, _ = load_weightnet(a.weightnet)
+    wn = load_weightnet(a.weightnet)[0] if a.mode == "weighted" else None
+    return vocab, ckpt, index, wn
+
+
+def _cmd_translate(a, argv) -> int:
+    vocab, ckpt, index, wn = _load_model(a)
     sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
     strategy = "greedy" if a.beam <= 1 else "beam"
     out_lines = []
@@ -369,12 +367,7 @@ def _cmd_eval(a, argv) -> int:
                   f"hyp_len={r.hyp_len}, ref_len={r.ref_len})")
         return 0
     if a.eval_cmd == "ppl":
-        vocab = Vocab.load(a.vocab)
-        ckpt = load_checkpoint(a.ckpt, vocab)
-        index = load_index(a.index, vocab) if a.index else None
-        wn = None
-        if a.weightnet:
-            wn, _ = load_weightnet(a.weightnet)
+        vocab, ckpt, index, wn = _load_model(a)
         nats, ppl = token_ce(ckpt, load_tsv(a.tsv), vocab, mode=a.mode, index=index,
                              k=a.topk, weightnet=wn)
         if a.json_lines:
@@ -398,7 +391,7 @@ def _cmd_biasvar(a, argv) -> int:
     cfg = ModelConfig.from_attrs(a, len(vocab), "dual_enc")
     report = estimate_bias_variance(
         modes, corpus, test_pairs, valid_corpus=valid, config=cfg,
-        train_cfg=_train_config(a), k_splits=a.splits, n_per_split=a.reps,
+        train_cfg=TrainConfig.from_attrs(a), k_splits=a.splits, n_per_split=a.reps,
         seed=a.seed, truncate=a.truncate, finetune_updates=a.finetune_updates,
         verbose=not a.quiet,
     )

@@ -20,6 +20,7 @@ total drifts past 1e-9.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from tmlab import autodiff as ad
 from tmlab.corpus import BOS, EOS, PAD, ParallelCorpus, Vocab, encode_corpus
-from tmlab.errors import DataError, NumericError
+from tmlab.errors import DataError
 from tmlab.model import (
     Checkpoint,
     DecodeCache,
@@ -37,6 +38,7 @@ from tmlab.model import (
     TrainConfig,
     _pad_batch,
     _xavier,
+    epoch_batches,
     forward_rows,
     train,
 )
@@ -50,6 +52,9 @@ BACKBONE = {"vanilla": "none", "base": "topk", "single": "single_multi",
 PREDICT_MODES = tuple(BACKBONE)
 
 TmIds = tuple[tuple[int, ...], tuple[int, ...]]  # (source ids, target ids)
+
+# The weighted fine-tune's learning rate, constant over its updates.
+FINETUNE_LR = 2e-4
 
 
 def tm_ids(z: TmPair) -> TmIds:
@@ -184,12 +189,6 @@ def batch_seq_probs(mode: str, ckpt, sep_id, items: Sequence[tuple], weightnet=N
     return out
 
 
-def weighted_seq_probs(ckpt, weightnet, sep_id, x, Z: Sequence[TmIds], y_in,
-                       return_weights: bool = False):
-    probs, weights = batch_seq_probs("weighted", ckpt, sep_id, [(x, Z, y_in)], weightnet)[0]
-    return (probs, weights) if return_weights else probs
-
-
 def mode_seq_probs(mode: str, ckpt, sep_id, x, Z: Sequence[TmIds], y_in,
                    weightnet=None) -> np.ndarray:
     """Next-token distributions (T, V) at every step of y_in, in one mode.
@@ -276,11 +275,11 @@ def finetune_weighted(
     seed: int = 0,
     k: int = 5,
     batch_size: int = 16,
-    lr: float = 2e-4,
     label_smoothing: float = 0.1,
     eval_every: int | None = None,
 ) -> FinetuneResult:
-    """Fine-tune backbone plus weighting network on 90% of the valid data.
+    """Fine-tune backbone plus weighting network on 90% of the valid data,
+    at the constant learning rate FINETUNE_LR.
 
     The remaining 10% selects the checkpoint: the parameters minimizing
     held-out loss over the recorded curve (update 0 included) win.
@@ -311,8 +310,7 @@ def finetune_weighted(
            for i in perm}
     wn = init_weightnet(cfg.d_model, seed)
     all_params = {**ckpt.params, **wn}
-    state = ad.adam_init(all_params, lr=lr)
-    order_rng = substream(seed, "order")
+    state = ad.adam_init(all_params, lr=FINETUNE_LR)
     drop_rng = substream(seed, "dropout")
 
     def batch_loss(ids: Sequence[int], train: bool) -> ad.Tensor:
@@ -345,26 +343,16 @@ def finetune_weighted(
     eval_every = eval_every or max(1, updates // 10)
     curve = [(0, heldout_loss())]
     best = (curve[0][1], 0, {kk: p.data.copy() for kk, p in all_params.items()})
-    step = 0
-    while step < updates:
-        epoch_order = order_rng.permutation(fit_ids)
-        for lo in range(0, len(epoch_order), batch_size):
-            if step >= updates:
-                break
-            ids = epoch_order[lo : lo + batch_size]
-            loss = batch_loss(ids, train=True)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite fine-tune loss at update {step}")
-            ad.zero_grads(all_params.values())
-            ad.backward(loss, params=all_params.values())
-            grads = ad.clip_global_norm({kk: p.grad for kk, p in all_params.items()}, 1.0)
-            ad.adam_step(all_params, grads, state)
-            step += 1
-            if step % eval_every == 0 or step == updates:
-                hl = heldout_loss()
-                curve.append((step, hl))
-                if hl < best[0]:
-                    best = (hl, step, {kk: p.data.copy() for kk, p in all_params.items()})
+    batches = itertools.chain.from_iterable(epoch_batches(fit_ids, batch_size, seed))
+    for done, ids in zip(range(1, updates + 1), batches):
+        # `loss` keeps this tape alive until the next batch's replaces it: freeing
+        # it sooner measured ~10% fewer updates/s on perfbench's translate workload
+        loss = batch_loss(ids, train=True)
+        ad.update(loss, all_params, state, done - 1)
+        if done % eval_every == 0 or done == updates:
+            curve.append((done, heldout_loss()))
+            if curve[-1][1] < best[0]:
+                best = (curve[-1][1], done, {kk: p.data.copy() for kk, p in all_params.items()})
 
     for kk, p in all_params.items():
         p.data = best[2][kk]

@@ -95,6 +95,8 @@ def token_ce(
     if mode != "vanilla" and index is None:
         raise DataError(f"mode '{mode}' needs a retrieval index")
     enc = encode_corpus(corpus, vocab)
+    if not len(enc):
+        raise DataError("no sentence pairs to score")
     sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
     items = []
     for p in enc:

@@ -146,9 +146,8 @@ def _recipe(cfg: ExperimentConfig, vocab: Vocab):
     `tm_epochs` on the dual encoder."""
     def recipe(train_mode: str) -> tuple[str, ModelConfig, TrainConfig]:
         arch, epochs = ("vanilla", cfg.epochs) if train_mode == "none" else ("dual_enc", cfg.tm_epochs)
-        return arch, ModelConfig.from_attrs(cfg, len(vocab), arch), TrainConfig(
-            epochs=epochs, batch_size=cfg.batch_size, base_lr=cfg.base_lr,
-            warmup=cfg.warmup, label_smoothing=cfg.label_smoothing, k_retrieval=cfg.topk)
+        return (arch, ModelConfig.from_attrs(cfg, len(vocab), arch),
+                TrainConfig.from_attrs(cfg, epochs=epochs, k_retrieval=cfg.topk))
 
     return recipe
 

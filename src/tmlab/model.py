@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from tmlab.corpus import (
     build_vocab,
     encode_corpus,
 )
-from tmlab.errors import DataError, NumericError
+from tmlab.errors import DataError
 from tmlab.retrieval import DEFAULT_POOL, RetrievalIndex, TmSet, build_index, retrieve_topk
 from tmlab.seeding import substream
 
@@ -67,9 +67,7 @@ class ModelConfig:
 
     @classmethod
     def from_attrs(cls, obj, vocab_size: int, arch: str) -> "ModelConfig":
-        """Every other field from the same-named attribute of `obj`."""
-        names = [f.name for f in fields(cls) if f.name not in ("vocab_size", "arch")]
-        return cls(vocab_size=vocab_size, arch=arch, **{n: getattr(obj, n) for n in names})
+        return _from_attrs(cls, obj, {"vocab_size": vocab_size, "arch": arch})
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,16 @@ class TrainConfig:
     base_lr: float = 7e-4
     warmup: int = 200
     label_smoothing: float = 0.1
-    clip_norm: float = 1.0
     k_retrieval: int = 5
+
+    @classmethod
+    def from_attrs(cls, obj, **given) -> "TrainConfig":
+        return _from_attrs(cls, obj, given)
+
+
+def _from_attrs(cls, obj, given: dict):
+    """A `cls` with the fields in `given`, every other from the same-named attribute of `obj`."""
+    return cls(**given, **{f.name: getattr(obj, f.name) for f in fields(cls) if f.name not in given})
 
 
 @dataclass
@@ -642,21 +648,16 @@ def train(
 
     params = init_params(cfg, seed)
     state = ad.adam_init(params, lr=tc.base_lr)
-    order_rng = substream(seed, "order")
     drop_rng = substream(seed, "dropout")
     sep = vocab.sep_id if arch != "vanilla" else None
 
     items = _presentations(mode, len(enc), tms, tc.k_retrieval)
     step = 0
     history: list[float] = []
-    for epoch in range(tc.epochs):
-        perm = order_rng.permutation(len(items))
+    for epoch, batches in zip(range(tc.epochs), epoch_batches(items, tc.batch_size, seed)):
         total, count = 0.0, 0
-        for lo in range(0, len(perm), tc.batch_size):
-            chunk = [items[j] for j in perm[lo : lo + tc.batch_size]]
+        for chunk in batches:
             loss = _train_step(params, cfg, enc, tms, chunk, tc, state, step, sep, drop_rng)
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {step}")
             total += loss * len(chunk)
             count += len(chunk)
             step += 1
@@ -678,6 +679,15 @@ def train(
     return Checkpoint(params=params, config=cfg, meta=meta)
 
 
+def epoch_batches(items: Sequence, batch_size: int, seed: int) -> Iterator[list[list]]:
+    """Epoch after epoch, `items` in batches of `batch_size`, each epoch in
+    an order drawn from the seed's "order" substream."""
+    rng = substream(seed, "order")
+    while True:
+        perm = rng.permutation(len(items))
+        yield [[items[j] for j in perm[lo : lo + batch_size]] for lo in range(0, len(perm), batch_size)]
+
+
 def _train_step(params, cfg, enc, tms, chunk, tc, state, step, sep, drop_rng) -> float:
     y_in = _pad_batch([(BOS,) + enc[i].target for i, _ in chunk])
     y_out = _pad_batch([enc[i].target + (EOS,) for i, _ in chunk])
@@ -691,9 +701,4 @@ def _train_step(params, cfg, enc, tms, chunk, tc, state, step, sep, drop_rng) ->
         loss_t = ad.nll_from_probs(out.p, y_out, tc.label_smoothing, PAD)
     else:
         loss_t = ad.cross_entropy_label_smoothed(out.logits, y_out, tc.label_smoothing, PAD)
-    ad.zero_grads(params.values())
-    ad.backward(loss_t, params=params.values())
-    grads = {k: p.grad for k, p in params.items()}
-    grads = ad.clip_global_norm(grads, tc.clip_norm)
-    ad.adam_step(params, grads, state, lr=ad.lr_inverse_sqrt(step + 1, tc.base_lr, tc.warmup))
-    return float(loss_t.data)
+    return ad.update(loss_t, params, state, step, ad.lr_inverse_sqrt(step + 1, tc.base_lr, tc.warmup))

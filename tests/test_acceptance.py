@@ -32,11 +32,11 @@ from tmlab.corpus import (
     synth_task,
 )
 from tmlab.ensemble import (
+    batch_seq_probs,
     decode,
     init_weightnet,
     mode_seq_probs,
     tm_ids,
-    weighted_seq_probs,
 )
 from tmlab.evalmetrics import corpus_bleu
 from tmlab.experiments import ExperimentConfig, run_experiment
@@ -246,7 +246,7 @@ def test_criterion_05_normalization_fuzz():
                 probs = mode_seq_probs("average", ckpt, sep, x, Z, y_in)
             else:
                 Z = [rand_tm(i % 7 == 0) for _ in range(int(rng.integers(1, 4)))]
-                probs = weighted_seq_probs(ckpt, wn, sep, x, Z, y_in)
+                probs = batch_seq_probs("weighted", ckpt, sep, [(x, Z, y_in)], wn)[0][0]
             assert np.isfinite(probs).all(), f"{mode} forward {i}: non-finite"
             assert (probs >= 0).all(), f"{mode} forward {i}: negative mass"
             dev = float(np.abs(probs.sum(axis=-1) - 1.0).max())
@@ -283,7 +283,7 @@ def test_criterion_06_ensemble_identities():
 
     # weighted with uniform weights (zero-init score head) == average, bitwise
     wn = init_weightnet(cfg.d_model, seed=0)
-    w_probs = weighted_seq_probs(ckpt, wn, sep, x, Z, (BOS,) + y_pre)
+    w_probs = batch_seq_probs("weighted", ckpt, sep, [(x, Z, (BOS,) + y_pre)], wn)[0][0]
     a_probs = mode_seq_probs("average", ckpt, sep, x, Z, (BOS,) + y_pre)
     id1 = (w_probs == a_probs).all()
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import check_gradients, max_rel_err
 from tmlab import autodiff as ad
-from tmlab.errors import DataError
+from tmlab.errors import DataError, NumericError
 
 
 def t64(x, grad=False):
@@ -245,6 +245,15 @@ def test_ce_rejects_all_pad_batch():
         ad.cross_entropy_label_smoothed(t64(np.zeros((2, 3))), np.asarray([0, 0]), pad_id=0)
 
 
+def test_nll_from_probs_validates_like_cross_entropy():
+    probs = t64(np.full((2, 3), 1.0 / 3.0))
+    with pytest.raises(DataError, match="out of range"):
+        ad.nll_from_probs(probs, np.asarray([0, 3]))
+    for eps in (1.0, -0.1):
+        with pytest.raises(DataError, match="smoothing"):
+            ad.nll_from_probs(probs, np.asarray([1, 2]), smoothing=eps)
+
+
 def test_ce_smoothing_hand_value():
     # logits (0, ln3): softmax = (0.25, 0.75); target 1, eps = 0.2, V = 2
     # loss = 0.8 * (-ln .75) + 0.2 * (-(ln .25 + ln .75) / 2)
@@ -290,6 +299,26 @@ def test_adam_shape_drift_error():
     st_ = ad.adam_init(p)
     with pytest.raises(DataError):
         ad.adam_step(p, {"w": np.zeros(3)}, st_)
+
+
+def test_update_refuses_a_non_finite_loss_before_any_move():
+    p = {"w": ad.parameter(np.asarray([1.5, -2.0]), dtype=np.float64)}
+    st_ = ad.adam_init(p, lr=1e-2)
+    loss = ad.mul(ad.tsum(ad.mul(p["w"], p["w"])), float("nan"))
+    with pytest.raises(NumericError, match="non-finite loss at update 4"):
+        ad.update(loss, p, st_, 4)
+    np.testing.assert_array_equal(p["w"].data, [1.5, -2.0])
+    assert st_.t == 0 and p["w"].grad is None
+
+
+def test_update_clips_then_steps():
+    # grad of 3 * sum(w) is (3, 3, 3, 3), norm 6 > CLIP_NORM: Adam sees it scaled
+    p = {"w": ad.parameter(np.zeros(4), dtype=np.float64)}
+    q = {"w": ad.parameter(np.zeros(4), dtype=np.float64)}
+    st_p, st_q = ad.adam_init(p, lr=1e-2), ad.adam_init(q, lr=1e-2)
+    assert ad.update(ad.mul(ad.tsum(p["w"]), 3.0), p, st_p, 0, lr=5e-3) == 0.0
+    ad.adam_step(q, {"w": np.full(4, 3.0 * ad.CLIP_NORM / 6.0)}, st_q, lr=5e-3)
+    np.testing.assert_array_equal(p["w"].data, q["w"].data)
 
 
 def test_lr_schedule():

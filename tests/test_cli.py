@@ -196,6 +196,44 @@ def test_weighted_with_a_non_weightnet_file_exits_2(workdir, capsys):
     assert len(lines) == 2 and all("not a weightnet file" in line for line in lines)
 
 
+@pytest.fixture(scope="module")
+def base_model(tmp_path_factory):
+    """A one-epoch dual-encoder checkpoint, its vocab, corpus and index, by absolute path."""
+    d = tmp_path_factory.mktemp("base_model")
+    assert main(["corpus", "synth", "--pairs", "40", "--templates", "3", "--lexicon", "8",
+                 "--seed", "2", "--out", str(d / "c.tsv")]) == 0
+    assert main(["train", "--tsv", str(d / "c.tsv"), "--arch", "dual_enc", "--mode", "topk",
+                 "--topk", "2", "--seed", "0", "--out", str(d / "m.ckpt"), "--quiet",
+                 *TRAIN_FLAGS]) == 0
+    assert main(["index", "build", "--tsv", str(d / "c.tsv"), "--out", str(d / "c.idx")]) == 0
+    return d
+
+
+def test_eval_ppl_on_an_empty_corpus_exits_2(workdir, base_model, capsys):
+    Path("empty.tsv").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "ppl", "--ckpt", str(base_model / "m.ckpt"),
+               "--vocab", str(base_model / "m.ckpt.vocab"), "--tsv", "empty.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode, given, missing", [
+    ("base", [], "--index"),
+    ("weighted", ["--index", "c.idx"], "--weightnet"),
+])
+@pytest.mark.parametrize("command", [["translate", "--input", "c.tsv", "--out", "h.txt"],
+                                     ["eval", "ppl", "--tsv", "c.tsv"]],
+                         ids=["translate", "eval-ppl"])
+def test_a_mode_without_its_model_input_is_a_usage_error(base_model, monkeypatch, capsys,
+                                                          command, mode, given, missing):
+    monkeypatch.chdir(base_model)
+    capsys.readouterr()
+    assert run(*command, "--mode", mode, "--ckpt", "m.ckpt", "--vocab", "m.ckpt.vocab",
+               *given) == 1
+    assert capsys.readouterr().err == f"usage error: --mode {mode} needs {missing}\n"
+
+
 def test_finetune_weight_cli(workdir):
     run("corpus", "synth", "--pairs", "60", "--templates", "3", "--lexicon", "8",
         "--seed", "4", "--out", "c.tsv")

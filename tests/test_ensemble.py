@@ -20,6 +20,7 @@ from tmlab.ensemble import (
     PREDICT_MODES,
     Family,
     FinetuneResult,
+    batch_seq_probs,
     beam_decode,
     decode,
     finetune_weighted,
@@ -34,11 +35,10 @@ from tmlab.ensemble import (
     sequence_score,
     tm_ids,
     train_family,
-    weighted_seq_probs,
     weightnet_scores,
 )
 from tmlab import autodiff as ad
-from tmlab.errors import DataError
+from tmlab.errors import DataError, NumericError
 from tmlab.evalmetrics import token_ce
 from tmlab.model import ModelConfig, TrainConfig, init_params, train, Checkpoint
 from tmlab.retrieval import build_index, retrieve_topk
@@ -130,8 +130,7 @@ def test_weighted_uniform_equals_average_bitwise(setup):
     Z = _zs(index, p.source, 3)
     wn = init_weightnet(ckpt.config.d_model, seed=0)  # zero score head
     y_in = (BOS,) + p.target
-    w_probs, weights = weighted_seq_probs(ckpt, wn, vocab.sep_id, p.source, Z, y_in,
-                                          return_weights=True)
+    w_probs, weights = batch_seq_probs("weighted", ckpt, vocab.sep_id, [(p.source, Z, y_in)], wn)[0]
     a_probs = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, y_in)
     np.testing.assert_array_equal(w_probs, a_probs)
     np.testing.assert_array_equal(weights, np.full_like(weights, 1.0 / len(Z)))
@@ -145,7 +144,8 @@ def test_weighted_normalization_random_weightnet(setup):
         wn[k].data = rng.normal(scale=0.5, size=wn[k].data.shape).astype(np.float32)
     for p in enc[:6]:
         Z = _zs(index, p.source, 3)
-        probs = weighted_seq_probs(ckpt, wn, vocab.sep_id, p.source, Z, (BOS,) + p.target)
+        probs, _ = batch_seq_probs("weighted", ckpt, vocab.sep_id,
+                                   [(p.source, Z, (BOS,) + p.target)], wn)[0]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert np.isfinite(probs).all()
 
@@ -158,11 +158,11 @@ def test_weighted_weights_permutation_equivariant(setup):
         wn[k].data = rng.normal(scale=0.5, size=wn[k].data.shape).astype(np.float32)
     p = enc[4]
     Z = _zs(index, p.source, 3)
-    _, w1 = weighted_seq_probs(ckpt, wn, vocab.sep_id, p.source, Z, (BOS,) + p.target,
-                               return_weights=True)
+    _, w1 = batch_seq_probs("weighted", ckpt, vocab.sep_id, [(p.source, Z, (BOS,) + p.target)],
+                            wn)[0]
     perm = [2, 0, 1]
-    _, w2 = weighted_seq_probs(ckpt, wn, vocab.sep_id, p.source, [Z[i] for i in perm],
-                               (BOS,) + p.target, return_weights=True)
+    _, w2 = batch_seq_probs("weighted", ckpt, vocab.sep_id,
+                            [(p.source, [Z[i] for i in perm], (BOS,) + p.target)], wn)[0]
     np.testing.assert_allclose(w2, w1[:, perm], atol=1e-6)
 
 
@@ -233,14 +233,44 @@ def test_finetune_weighted_contract():
         finetune_weighted(ck, subset(task.corpus, range(5)), vocab, train_c, updates=1, seed=0)
 
 
+def test_finetune_stops_on_a_non_finite_loss_before_it_moves_a_parameter(setup, monkeypatch):
+    task, vocab, ckpt, _, _ = setup
+    held = {}
+    forward, init_wn = ensemble.forward_rows, ensemble.init_weightnet
+
+    def spy_forward(params, *args, **kwargs):
+        held["params"] = params             # the fine-tune's private copy
+        return forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "forward_rows", spy_forward)
+    monkeypatch.setattr(ensemble, "init_weightnet", lambda *a: held.setdefault("wn", init_wn(*a)))
+    loss_fn, train_calls = ad.nll_from_probs, []
+
+    def poisoned(probs, *args):
+        if not probs.requires_grad:         # held-out scoring
+            return loss_fn(probs, *args)
+        train_calls.append(1)
+        if len(train_calls) < 3:
+            return loss_fn(probs, *args)
+        held["before"] = {k: p.data.copy() for k, p in {**held["params"], **held["wn"]}.items()}
+        return ad.mul(loss_fn(probs, *args), float("nan"))
+
+    monkeypatch.setattr(ad, "nll_from_probs", poisoned)
+    with pytest.raises(NumericError, match="non-finite loss at update 2"):
+        finetune_weighted(ckpt, subset(task.corpus, range(30)), vocab, task.corpus, updates=5,
+                          seed=0, k=2, batch_size=8)
+    for k, p in {**held["params"], **held["wn"]}.items():
+        np.testing.assert_array_equal(p.data, held["before"][k])
+
+
 def test_finetune_zero_updates_is_average(setup):
     task, vocab, ckpt, enc, index = setup
     valid_c = subset(task.corpus, range(20))
     ft = finetune_weighted(ckpt, valid_c, vocab, task.corpus, updates=0, seed=0, k=2)
     p = enc[5]
     Z = _zs(index, p.source, 2)
-    w = weighted_seq_probs(ft.checkpoint, ft.weightnet, vocab.sep_id, p.source, Z,
-                           (BOS,) + p.target)
+    w, _ = batch_seq_probs("weighted", ft.checkpoint, vocab.sep_id,
+                           [(p.source, Z, (BOS,) + p.target)], ft.weightnet)[0]
     a = mode_seq_probs("average", ckpt, vocab.sep_id, p.source, Z, (BOS,) + p.target)
     np.testing.assert_array_equal(w, a)
 
@@ -378,7 +408,8 @@ def test_mode_seq_probs_rejects_unknown(setup):
 @pytest.fixture(scope="module")
 def arch_ckpts(setup):
     _, vocab, dual, _, _ = setup
-    cfg = ModelConfig(vocab_size=len(vocab), arch="single_enc", **TINY)
+    # room for three TMs joined into one source; init_params does not read max_len
+    cfg = ModelConfig(vocab_size=len(vocab), arch="single_enc", **{**TINY, "max_len": 96})
     params = init_params(cfg, seed=9)
     params["out_w"].data = np.random.default_rng(2).normal(
         scale=0.4, size=params["out_w"].data.shape).astype(np.float32)
@@ -393,8 +424,6 @@ def arch_ckpts(setup):
 @pytest.mark.parametrize("mode", PREDICT_MODES)
 @pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
 def test_step_fn_and_decode_follow_mode_seq_probs(setup, arch_ckpts, arch, mode):
-    if arch == "single_enc" and mode == "base":
-        pytest.skip("three TMs joined into one source exceed max_len")
     _, vocab, _, enc, index = setup
     ckpts, wn = arch_ckpts
     ckpt, sep = ckpts[arch], vocab.sep_id
@@ -457,8 +486,6 @@ def test_finetune_scores_what_inference_reads(setup, arch_ckpts, arch, store):
 def test_cached_step_follows_mode_seq_probs(setup, arch_ckpts, arch, mode):
     """Hypotheses reordered, duplicated and extended by any id (reserved ones
     too): every row of every step is the teacher-forced prediction."""
-    if arch == "single_enc" and mode == "base":
-        pytest.skip("three TMs joined into one source exceed max_len")
     _, vocab, _, enc, index = setup
     ckpts, wn = arch_ckpts
     ckpt, sep = ckpts[arch], vocab.sep_id
@@ -480,8 +507,6 @@ def test_cached_step_follows_mode_seq_probs(setup, arch_ckpts, arch, mode):
 @pytest.mark.parametrize("mode", PREDICT_MODES)
 @pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
 def test_cached_beam_equals_teacher_forced_beam(setup, arch_ckpts, arch, mode):
-    if arch == "single_enc" and mode == "base":
-        pytest.skip("three TMs joined into one source exceed max_len")
     _, vocab, _, enc, index = setup
     ckpts, wn = arch_ckpts
     ckpt, sep = ckpts[arch], vocab.sep_id

@@ -15,7 +15,6 @@ from tmlab.ensemble import (
     mode_rows,
     mode_seq_probs,
     tm_ids,
-    weighted_seq_probs,
 )
 from tmlab.errors import DataError
 from tmlab.evalmetrics import BleuResult, corpus_bleu, token_ce, token_ce_from_dists
@@ -261,7 +260,7 @@ def test_weighted_seq_probs_and_weights_unchanged_bitwise(mixed_task, arch):
              for p in encode_corpus(test, vocab)]
     batched = batch_seq_probs("weighted", ckpt, sep, items, wn)
     for (x, Z, y_in), (bp, bw) in zip(items, batched):
-        probs, weights = weighted_seq_probs(ckpt, wn, sep, x, Z, y_in, return_weights=True)
+        probs, weights = batch_seq_probs("weighted", ckpt, sep, [(x, Z, y_in)], wn)[0]
         ref_p, ref_w = _one_forward("weighted", ckpt, sep, x, Z, y_in, wn)
         for got in ((probs, weights), (bp, bw)):
             np.testing.assert_array_equal(got[0], ref_p)

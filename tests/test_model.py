@@ -13,7 +13,7 @@ from tmlab.corpus import (
     encode_corpus,
     synth_task,
 )
-from tmlab.errors import DataError
+from tmlab.errors import DataError, NumericError
 from tmlab.model import (
     Checkpoint,
     ModelConfig,
@@ -276,6 +276,32 @@ def test_train_vanilla_rejects_tm_modes_before_retrieval(mode, monkeypatch):
     task = synth_task(n_pairs=12, n_templates=2, lexicon_size=6, seed=0)
     with pytest.raises(DataError, match="vanilla"):
         train("vanilla", task.corpus, mode, tiny_cfg(arch="vanilla"), TrainConfig(epochs=1), seed=0)
+
+
+@pytest.mark.parametrize("arch, mode", [("vanilla", "none"), ("dual_enc", "topk")])
+def test_train_stops_on_a_non_finite_loss_before_it_moves_a_parameter(monkeypatch, arch, mode):
+    from tmlab import model as model_mod
+
+    task = synth_task(n_pairs=40, n_templates=2, lexicon_size=6, seed=0)
+    held = {}
+    init = model_mod.init_params
+    monkeypatch.setattr(model_mod, "init_params", lambda *a: held.setdefault("p", init(*a)))
+    loss_name = "nll_from_probs" if arch == "dual_enc" else "cross_entropy_label_smoothed"
+    loss_fn, calls = getattr(ad, loss_name), []
+
+    def poisoned(*args):
+        calls.append(1)
+        if len(calls) < 3:
+            return loss_fn(*args)
+        held["before"] = {k: p.data.copy() for k, p in held["p"].items()}
+        return ad.mul(loss_fn(*args), float("nan"))
+
+    monkeypatch.setattr(ad, loss_name, poisoned)
+    tc = TrainConfig(epochs=2, batch_size=8, base_lr=1e-3, warmup=5, k_retrieval=2)
+    with pytest.raises(NumericError, match="non-finite loss at update 2"):
+        train(arch, task.corpus, mode, tiny_cfg(arch=arch), tc, seed=0)
+    for k, p in held["p"].items():
+        np.testing.assert_array_equal(p.data, held["before"][k])
 
 
 def test_forward_rows_rejects_empty_source_and_vanilla_tms():
