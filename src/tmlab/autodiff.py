@@ -639,3 +639,14 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: corrupt TMLAB1 checkpoint ({type(e).__name__}: {e})") from None
     return arrays, meta
+
+
+def check_tensor_set(path: str | Path, what: str, arrays: dict[str, np.ndarray],
+                     want: dict[str, Tensor]) -> None:
+    """Reject a loaded file whose tensor names and shapes are not `want`'s."""
+    got = {k: v.shape for k, v in arrays.items()}
+    shapes = {k: v.data.shape for k, v in want.items()}
+    if got != shapes:
+        bad = sorted(set(got) ^ set(shapes)) or [k for k in sorted(got) if got[k] != shapes[k]]
+        raise DataError(f"{path}: not a {what} (tensor '{bad[0]}' is missing, unexpected "
+                        f"or misshaped)")

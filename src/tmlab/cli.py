@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import tmlab
 from tmlab.biasvar import estimate_bias_variance
 from tmlab.corpus import (
@@ -30,7 +28,7 @@ from tmlab.corpus import (
     synth_task,
     tokenize,
 )
-from tmlab.ensemble import PREDICT_MODES, decode, finetune_weighted, load_weightnet, save_weightnet
+from tmlab.ensemble import PREDICT_MODES, decode_all, finetune_weighted, load_weightnet
 from tmlab.errors import DataError, NumericError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.experiments import ExperimentConfig, run_experiment
@@ -45,12 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _manifest_path(primary_output: str | Path) -> Path:
-    p = Path(primary_output)
-    return p.parent / (p.name + ".manifest.json")
-
-
 def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
+    """Record the run beside its primary output, as `<output>.manifest.json`."""
     blob = json.dumps(argv, sort_keys=True).encode("utf-8")
     doc = {
         "version": tmlab.__version__,
@@ -58,7 +52,7 @@ def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
         "config_hash": hashlib.sha256(blob).hexdigest()[:16],
         "cwd": os.getcwd(),
     }
-    atomic_write_text(_manifest_path(primary_output), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(f"{primary_output}.manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _model_config_args(p: argparse.ArgumentParser) -> None:
@@ -223,22 +217,18 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Command bodies
+# Command bodies: each returns its primary output, whose manifest `run`
+# writes, or None when it writes no file
 # ---------------------------------------------------------------------------
 
-def _cmd_corpus(a, argv) -> int:
+def _cmd_corpus(a) -> Path | str | None:
     if a.corpus_cmd == "synth":
         task = synth_task(a.pairs, a.templates, a.lexicon, a.seed)
         save_tsv(task.corpus, a.out)
         if a.manifest_out:
             task.save_manifest(a.manifest_out)
-        _write_manifest(argv, a.out)
         print(f"wrote {len(task.corpus)} pairs to {a.out}")
-        return 0
-    if a.corpus_cmd == "stats":
-        for k, v in corpus_stats(load_tsv(a.tsv)).items():
-            print(f"{k}: {v}")
-        return 0
+        return a.out
     if a.corpus_cmd == "split":
         corpus = load_tsv(a.tsv)
         parts = split_equal(corpus, a.parts, a.seed)
@@ -246,21 +236,21 @@ def _cmd_corpus(a, argv) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, part in enumerate(parts, start=1):
             save_tsv(part, out_dir / f"part{i}.tsv")
-        _write_manifest(argv, out_dir / "part1.tsv")
         print(f"wrote {a.parts} parts to {a.out_dir}")
-        return 0
-    raise UsageError(f"unknown corpus subcommand {a.corpus_cmd}")
+        return out_dir / "part1.tsv"
+    for k, v in corpus_stats(load_tsv(a.tsv)).items():     # stats
+        print(f"{k}: {v}")
+    return None
 
 
-def _cmd_index(a, argv) -> int:
+def _cmd_index(a) -> str:
     idx = build_index(load_tsv(a.tsv))
     save_index(idx, a.out)
-    _write_manifest(argv, a.out)
     print(f"indexed {len(idx)} pairs into {a.out}")
-    return 0
+    return a.out
 
 
-def _cmd_retrieve(a, argv) -> int:
+def _cmd_retrieve(a) -> str | None:
     idx = load_index(a.index)
     lines = Path(a.queries).read_text(encoding="utf-8").splitlines()
     records = []
@@ -275,13 +265,12 @@ def _cmd_retrieve(a, argv) -> int:
     text = "\n".join(records) + ("\n" if records else "")
     if a.out:
         atomic_write_text(a.out, text)
-        _write_manifest(argv, a.out)
     else:
         sys.stdout.write(text)
-    return 0
+    return a.out
 
 
-def _cmd_train(a, argv) -> int:
+def _cmd_train(a) -> str:
     corpus = load_tsv(a.tsv)
     vocab = Vocab.load(a.vocab) if a.vocab else build_vocab(
         ((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
@@ -292,31 +281,18 @@ def _cmd_train(a, argv) -> int:
     save_checkpoint(ckpt, a.out)
     vocab_out = a.vocab_out or (a.out + ".vocab")
     vocab.save(vocab_out)
-    _write_manifest(argv, a.out)
     print(f"checkpoint {a.out} (final loss {ckpt.meta['history'][-1]:.4f}), vocab {vocab_out}")
-    return 0
+    return a.out
 
 
-def _cmd_finetune_weight(a, argv) -> int:
+def _cmd_finetune_weight(a) -> str:
     vocab = Vocab.load(a.vocab)
-    ckpt = load_checkpoint(a.ckpt, vocab)
-    # the backbone's training settings, for checkpoints that record them
-    tc = TrainConfig()
-    k = ckpt.meta.get("k_retrieval", tc.k_retrieval) if a.topk is None else a.topk
-    result = finetune_weighted(ckpt, load_tsv(a.valid_tsv), vocab,
-                               load_tsv(a.datastore_tsv), updates=a.updates, seed=a.seed, k=k,
-                               label_smoothing=ckpt.meta.get("label_smoothing", tc.label_smoothing))
-    save_checkpoint(result.checkpoint, a.out_ckpt)
-    save_weightnet(result.weightnet, a.out_weightnet,
-                   {"d_model": result.checkpoint.config.d_model,
-                    "vocab_hash": vocab.content_hash()})
-    if a.curve_out:
-        atomic_write_text(a.curve_out,
-                          "\n".join(f"{u}\t{l:.6f}" for u, l in result.curve) + "\n")
-    _write_manifest(argv, a.out_ckpt)
+    result = finetune_weighted(load_checkpoint(a.ckpt, vocab), load_tsv(a.valid_tsv), vocab,
+                               load_tsv(a.datastore_tsv), updates=a.updates, seed=a.seed, k=a.topk)
+    result.save(a.out_ckpt, a.out_weightnet, a.curve_out, vocab)
     print(f"selected update {result.selected_update}; "
           f"held-out loss {dict(result.curve)[result.selected_update]:.4f}")
-    return 0
+    return a.out_ckpt
 
 
 def _load_model(a):
@@ -332,24 +308,19 @@ def _load_model(a):
     return vocab, ckpt, index, wn
 
 
-def _cmd_translate(a, argv) -> int:
+def _cmd_translate(a) -> str:
     vocab, ckpt, index, wn = _load_model(a)
-    sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
-    strategy = "greedy" if a.beam <= 1 else "beam"
-    out_lines = []
-    for line in Path(a.input).read_text(encoding="utf-8").splitlines():
-        ids = vocab.encode(tokenize(line))
-        toks, score = decode(a.mode, ckpt, ids, index, a.topk, sep, strategy=strategy,
-                             beam_width=a.beam, weightnet=wn)
-        text = " ".join(vocab.decode(toks))
-        out_lines.append(f"{text}\t{score:.6f}" if a.scores else text)
+    sources = [vocab.encode(tokenize(line))
+               for line in Path(a.input).read_text(encoding="utf-8").splitlines()]
+    out_lines = [" ".join(vocab.decode(toks)) + (f"\t{score:.6f}" if a.scores else "")
+                 for toks, score in decode_all(a.mode, ckpt, sources, vocab, index, a.topk,
+                                               a.beam, wn)]
     atomic_write_text(a.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
-    _write_manifest(argv, a.out)
     print(f"translated {len(out_lines)} lines to {a.out}")
-    return 0
+    return a.out
 
 
-def _cmd_eval(a, argv) -> int:
+def _cmd_eval(a) -> None:
     if a.eval_cmd == "bleu":
         hyps = [tokenize(l) for l in Path(a.hyp).read_text(encoding="utf-8").splitlines()]
         refs = [tokenize(l) for l in Path(a.ref).read_text(encoding="utf-8").splitlines()]
@@ -365,8 +336,7 @@ def _cmd_eval(a, argv) -> int:
             ps = " ".join(f"p{i + 1}={p:.4f}" for i, p in enumerate(r.precisions))
             print(f"BLEU = {r.score:.2f}  ({ps}, BP={r.brevity_penalty:.4f}, "
                   f"hyp_len={r.hyp_len}, ref_len={r.ref_len})")
-        return 0
-    if a.eval_cmd == "ppl":
+    else:  # ppl
         vocab, ckpt, index, wn = _load_model(a)
         nats, ppl = token_ce(ckpt, load_tsv(a.tsv), vocab, mode=a.mode, index=index,
                              k=a.topk, weightnet=wn)
@@ -375,11 +345,9 @@ def _cmd_eval(a, argv) -> int:
                              sort_keys=True))
         else:
             print(f"cross-entropy = {nats:.4f} nats/token  (ppl {ppl:.4f})")
-        return 0
-    raise UsageError(f"unknown eval subcommand {a.eval_cmd}")
 
 
-def _cmd_biasvar(a, argv) -> int:
+def _cmd_biasvar(a) -> str:
     corpus = load_tsv(a.tsv)
     test_pairs = load_tsv(a.test_tsv)
     valid = load_tsv(a.valid_tsv) if a.valid_tsv else None
@@ -400,13 +368,12 @@ def _cmd_biasvar(a, argv) -> int:
     atomic_write_text(a.out_csv, "\n".join(lines) + "\n")
     if a.out_report:
         atomic_write_text(a.out_report, report.to_text())
-    _write_manifest(argv, a.out_csv)
     for e in report.entries:
         print(f"{e.model}: loss {e.loss:.4f}  var {e.var_forward:.4f}  bias2 {e.bias2_forward:.4f}")
-    return 0
+    return a.out_csv
 
 
-def _cmd_experiment(a, argv) -> int:
+def _cmd_experiment(a) -> Path:
     base: dict = {}
     if a.config:
         try:
@@ -415,29 +382,22 @@ def _cmd_experiment(a, argv) -> int:
             raise DataError(f"{a.config}: not valid JSON ({e})") from None
         if type(base) is not dict:
             raise DataError(f"{a.config}: a config must be a JSON object")
-    base["scenario"] = a.scenario.replace("-", "_")
-    overrides = {
-        "out_dir": a.out_dir, "seed": a.seed, "synth_pairs": a.synth_pairs,
-        "synth_templates": a.synth_templates, "synth_lexicon": a.synth_lexicon,
-        "corpus_tsv": a.corpus_tsv, "epochs": a.epochs, "tm_epochs": a.tm_epochs,
-        "finetune_updates": a.finetune_updates, "topk": a.topk, "beam": a.beam,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            base[key] = val
+    # each flag's dest is the config key it overrides
+    flags = {**vars(a), "scenario": a.scenario.replace("-", "_")}
     if a.modes is not None:
-        base["modes"] = tuple(m.strip() for m in a.modes.split(",") if m.strip())
+        flags["modes"] = tuple(m.strip() for m in a.modes.split(",") if m.strip())
+    base.update((k, v) for k, v in flags.items()
+                if k in ExperimentConfig.__dataclass_fields__ and v is not None)
     if "out_dir" not in base:
         raise UsageError("--out-dir (or config key out_dir) is required")
     cfg = ExperimentConfig.from_dict(base)
     rows = run_experiment(cfg, verbose=not a.quiet)
-    _write_manifest(argv, Path(cfg.out_dir) / "results.csv")
     for r in rows:
         print(f"{r['stage']}  {r['mode']:<9} BLEU {r['bleu']}  ppl {r['ppl']}")
-    return 0
+    return Path(cfg.out_dir) / "results.csv"
 
 
-def _cmd_rerun(a, _argv) -> int:
+def _cmd_rerun(a) -> None:
     """Run the recorded argv in the recorded directory, so that its relative
     paths mean what they meant; a manifest without one runs here."""
     try:
@@ -454,7 +414,7 @@ def _cmd_rerun(a, _argv) -> int:
     except OSError:
         raise DataError(f"{a.manifest}: its run directory {cwd} is not available") from None
     try:
-        return run(argv)
+        run(argv)
     finally:
         os.chdir(here)
 
@@ -475,7 +435,10 @@ def run(argv: list[str]) -> int:
         "experiment": _cmd_experiment,
         "rerun": _cmd_rerun,
     }[args.command]
-    return handler(args, list(argv))
+    primary_output = handler(args)
+    if primary_output is not None:
+        _write_manifest(list(argv), primary_output)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,14 +15,14 @@ Mixtures anchor their summation on the first component, so K identical
 components reproduce the single prediction bit for bit, and uniform
 weights reproduce the average ensemble bit for bit. Components are
 mixed in ascending k order; the result is renormalized only when the
-total drifts past 1e-9.
+total drifts past 1e-6.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -31,6 +31,7 @@ import numpy as np
 from tmlab import autodiff as ad
 from tmlab.corpus import BOS, EOS, PAD, ParallelCorpus, Vocab, encode_corpus
 from tmlab.errors import DataError
+from tmlab.fileio import atomic_write_text
 from tmlab.model import (
     Checkpoint,
     DecodeCache,
@@ -40,6 +41,7 @@ from tmlab.model import (
     _xavier,
     epoch_batches,
     forward_rows,
+    save_checkpoint,
     train,
 )
 from tmlab.retrieval import RetrievalIndex, TmPair, build_index, retrieve_topk
@@ -59,6 +61,15 @@ FINETUNE_LR = 2e-4
 
 def tm_ids(z: TmPair) -> TmIds:
     return tuple(z.source), tuple(z.target)
+
+
+def mode_tms(mode: str, index: RetrievalIndex | None, x: Sequence[int], k: int) -> list[TmIds]:
+    """The top-k TMs `mode` reads for source `x`: none for `vanilla`."""
+    if mode == "vanilla":
+        return []
+    if index is None:
+        raise DataError(f"mode '{mode}' needs a retrieval index")
+    return [tm_ids(z) for z in retrieve_topk(index, tuple(x), k)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +256,7 @@ def load_weightnet(path: str | Path) -> tuple[dict[str, ad.Tensor], dict]:
     arrays, meta = ad.load_arrays(path)
     b1 = arrays.get("wn.b1")
     d_model = b1.shape[0] if b1 is not None and b1.ndim == 1 else 0
-    want = {k: v.data.shape for k, v in init_weightnet(d_model, 0).items()} if d_model else {}
-    got = {k: v.shape for k, v in arrays.items()}
-    if not want or got != want:
-        bad = sorted(set(got) ^ set(want)) or [k for k in sorted(got) if got[k] != want[k]]
-        raise DataError(f"{path}: not a weightnet file (tensor '{(bad or ['wn.b1'])[0]}' "
-                        f"is missing, unexpected or misshaped)")
+    ad.check_tensor_set(path, "weightnet file", arrays, init_weightnet(max(d_model, 1), 0))
     return {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}, meta
 
 
@@ -265,6 +271,15 @@ class FinetuneResult:
     curve: list[tuple[int, float]]   # (update, held-out loss)
     selected_update: int
 
+    def save(self, ckpt_path: str | Path, weightnet_path: str | Path,
+             curve_path: str | Path | None, vocab: Vocab) -> None:
+        """Write the checkpoint, the weightnet and, unless None, the `update<TAB>loss` curve."""
+        save_checkpoint(self.checkpoint, ckpt_path)
+        save_weightnet(self.weightnet, weightnet_path,
+                       {"d_model": self.checkpoint.config.d_model, "vocab_hash": vocab.content_hash()})
+        if curve_path is not None:
+            atomic_write_text(curve_path, "".join(f"{u}\t{l:.6f}\n" for u, l in self.curve))
+
 
 def finetune_weighted(
     ckpt: Checkpoint,
@@ -273,17 +288,22 @@ def finetune_weighted(
     datastore: ParallelCorpus,
     updates: int = 2000,
     seed: int = 0,
-    k: int = 5,
+    k: int | None = None,
     batch_size: int = 16,
-    label_smoothing: float = 0.1,
+    label_smoothing: float | None = None,
     eval_every: int | None = None,
 ) -> FinetuneResult:
     """Fine-tune backbone plus weighting network on 90% of the valid data,
     at the constant learning rate FINETUNE_LR.
 
     The remaining 10% selects the checkpoint: the parameters minimizing
-    held-out loss over the recorded curve (update 0 included) win.
+    held-out loss over the recorded curve (update 0 included) win. `k` and
+    `label_smoothing` default to the backbone's training settings, else
+    `TrainConfig`'s.
     """
+    backbone = {**asdict(TrainConfig()), **ckpt.meta}
+    k = backbone["k_retrieval"] if k is None else k
+    label_smoothing = backbone["label_smoothing"] if label_smoothing is None else label_smoothing
     if len(valid_corpus) < 10:
         raise DataError(f"valid corpus has {len(valid_corpus)} pairs; need at least 10")
     if ckpt.config.arch not in ("dual_enc", "single_enc"):
@@ -306,8 +326,7 @@ def finetune_weighted(
     fit_ids = perm[:n_fit]
     held_ids = perm[n_fit:]            # not empty: there are at least 10 pairs
 
-    tms = {int(i): [tm_ids(z) for z in retrieve_topk(index, enc_valid[int(i)].source, k)]
-           for i in perm}
+    tms = {int(i): mode_tms("weighted", index, enc_valid[int(i)].source, k) for i in perm}
     wn = init_weightnet(cfg.d_model, seed)
     all_params = {**ckpt.params, **wn}
     state = ad.adam_init(all_params, lr=FINETUNE_LR)
@@ -397,8 +416,7 @@ def train_family(
     """Train each backbone `modes` read once, then fine-tune `weighted`.
 
     `recipe(train_mode)` gives a backbone's (arch, model config, train
-    config). The fine-tune retrieves as many TMs per query, and smooths
-    labels as much, as its backbone's training did.
+    config).
     """
     unknown = [m for m in modes if m not in BACKBONE]
     if unknown:
@@ -408,10 +426,8 @@ def train_family(
                  for tm, (arch, cfg, tc) in recipes.items()}
     finetune = None
     if "weighted" in modes:
-        tc = recipes[BACKBONE["weighted"]][2]
         finetune = finetune_weighted(backbones[BACKBONE["weighted"]], valid, vocab, corpus,
-                                     updates=finetune_updates, seed=seed, k=tc.k_retrieval,
-                                     label_smoothing=tc.label_smoothing)
+                                     updates=finetune_updates, seed=seed)
     return Family(backbones, finetune)
 
 
@@ -553,7 +569,7 @@ def decode(
     max_new: int | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Translate one encoded source; returns (token ids, normalized score)."""
-    Z = [tm_ids(z) for z in retrieve_topk(index, tuple(x), k)] if mode != "vanilla" else []
+    Z = mode_tms(mode, index, x, k)
     step_fn = make_cached_step_fn(mode, ckpt, sep_id, tuple(x), Z, weightnet)
     max_new = max_new or (ckpt.config.max_len - 1)
     if strategy == "greedy":
@@ -561,3 +577,13 @@ def decode(
     if strategy == "beam":
         return beam_decode(step_fn, beam_width, max_new)
     raise DataError(f"unknown decoding strategy '{strategy}'")
+
+
+def decode_all(mode: str, ckpt: Checkpoint, sources: Sequence[Sequence[int]], vocab: Vocab,
+               index: RetrievalIndex | None, k: int, beam: int = 1,
+               weightnet=None) -> list[tuple[tuple[int, ...], float]]:
+    """`decode` each encoded source in turn: greedily when `beam` <= 1, else by beam search."""
+    sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
+    strategy = "greedy" if beam <= 1 else "beam"
+    return [decode(mode, ckpt, x, index, k, sep, strategy=strategy, beam_width=beam,
+                   weightnet=weightnet) for x in sources]

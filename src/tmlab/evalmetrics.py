@@ -10,10 +10,10 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, Vocab, encode_corpus
-from tmlab.ensemble import MAX_FORWARD_FLOATS, batch_seq_probs, tm_ids
+from tmlab.ensemble import MAX_FORWARD_FLOATS, batch_seq_probs, mode_tms
 from tmlab.errors import DataError
 from tmlab.model import Checkpoint
-from tmlab.retrieval import RetrievalIndex, retrieve_topk
+from tmlab.retrieval import RetrievalIndex
 
 CE_FLOOR = 1e-12
 
@@ -92,16 +92,11 @@ def token_ce(
     """
     if ckpt.meta.get("vocab_hash") not in (None, vocab.content_hash()):
         raise DataError("vocab mismatch between corpus vocab and checkpoint")
-    if mode != "vanilla" and index is None:
-        raise DataError(f"mode '{mode}' needs a retrieval index")
     enc = encode_corpus(corpus, vocab)
     if not len(enc):
         raise DataError("no sentence pairs to score")
     sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
-    items = []
-    for p in enc:
-        zs = [tm_ids(z) for z in retrieve_topk(index, p.source, k)] if mode != "vanilla" else []
-        items.append((p.source, zs, (BOS,) + p.target))
+    items = [(p.source, mode_tms(mode, index, p.source, k), (BOS,) + p.target) for p in enc]
     # a slice of the test set per call keeps its distributions within one forward's cap
     T = max((len(p.target) + 1 for p in enc), default=1)
     per_call = max(1, MAX_FORWARD_FLOATS // (T * ckpt.config.vocab_size))

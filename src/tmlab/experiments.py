@@ -33,7 +33,7 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
-from tmlab.ensemble import PREDICT_MODES, Family, decode, save_weightnet, train_family
+from tmlab.ensemble import PREDICT_MODES, Family, decode_all, train_family
 from tmlab.errors import DataError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.fileio import atomic_write_text
@@ -157,17 +157,12 @@ def evaluate_modes(cfg: ExperimentConfig, family: Family, vocab: Vocab,
     """BLEU and perplexity for every requested mode against one datastore."""
     enc_test = encode_corpus(test, vocab)
     index = build_index(encode_corpus(datastore, vocab))
-    strategy = "greedy" if cfg.beam <= 1 else "beam"
     rows = []
     for mode in cfg.modes:
         ckpt, wn = family.member(mode)
-        sep = vocab.sep_id if ckpt.config.arch != "vanilla" else None
-        hyps = []
-        for p in enc_test:
-            toks, _ = decode(mode, ckpt, p.source, index, cfg.topk, sep, strategy=strategy,
-                             beam_width=cfg.beam, weightnet=wn)
-            hyps.append(list(toks))
-        bleu = corpus_bleu(hyps, [list(p.target) for p in enc_test]).score
+        hyps = decode_all(mode, ckpt, [p.source for p in enc_test], vocab, index, cfg.topk,
+                          cfg.beam, wn)
+        bleu = corpus_bleu([toks for toks, _ in hyps], [p.target for p in enc_test]).score
         nats, ppl = token_ce(ckpt, test, vocab, mode=mode, index=index,
                              k=cfg.topk, weightnet=wn)
         rows.append({"stage": stage, "mode": mode,
@@ -188,13 +183,9 @@ def save_family(family: Family, vocab: Vocab, out_dir: Path) -> None:
     vocab.save(out_dir / "vocab.txt")
     for train_mode, ckpt in family.backbones.items():
         save_checkpoint(ckpt, out_dir / _CKPT_FILES[train_mode])
-    ft = family.finetune
-    if ft is not None:
-        save_checkpoint(ft.checkpoint, out_dir / "tm_weight.ckpt")
-        save_weightnet(ft.weightnet, out_dir / "weightnet.ckpt",
-                       {"d_model": ft.checkpoint.config.d_model})
-        curve = "\n".join(f"{u}\t{l:.6f}" for u, l in ft.curve)
-        atomic_write_text(out_dir / "finetune_curve.tsv", curve + "\n")
+    if family.finetune is not None:
+        family.finetune.save(out_dir / "tm_weight.ckpt", out_dir / "weightnet.ckpt",
+                             out_dir / "finetune_curve.tsv", vocab)
 
 
 def run_experiment(cfg: ExperimentConfig, verbose: bool = True) -> list[dict]:

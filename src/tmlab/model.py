@@ -60,6 +60,8 @@ class ModelConfig:
     arch: str = "vanilla"
 
     def __post_init__(self) -> None:
+        if min(self.d_model, self.n_heads, self.ffn_dim, self.max_len) < 1:
+            raise DataError("d_model, n_heads, ffn_dim and max_len must all be >= 1")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.arch not in ARCHITECTURES:
@@ -544,8 +546,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> Checkpoint:
+    """A checkpoint whose tensors are exactly those its config's model holds."""
     arrays, meta = ad.load_arrays(path)
-    cfg = ModelConfig(**meta.pop("config"))
+    try:
+        cfg = ModelConfig(**meta.pop("config"))
+    except (AttributeError, KeyError, TypeError, DataError) as e:
+        raise DataError(f"{path}: not a model checkpoint (config: {type(e).__name__}: {e})") from None
+    ad.check_tensor_set(path, "model checkpoint", arrays, init_params(cfg, 0))
     if vocab is not None and meta.get("vocab_hash") not in (None, vocab.content_hash()):
         raise DataError(f"{path}: vocab mismatch with checkpoint (hash differs)")
     params = {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}

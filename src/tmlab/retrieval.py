@@ -267,7 +267,9 @@ def load_index_corpus(path: str | Path) -> ParallelCorpus:
         sources, targets = body["sources"], body["targets"]
         if not (type(sources) is list and type(targets) is list and len(sources) == len(targets)):
             raise ValueError("sources and targets must be lists of equal length")
-        return corpus_from_pairs((tuple(s), tuple(t)) for s, t in zip(sources, targets))
+        if not set(map(type, sources)).union(map(type, targets)) <= {list}:
+            raise ValueError("every source and target must be a list of tokens")
+        return corpus_from_pairs(zip(sources, targets))
     except (struct.error, zlib.error, ValueError, KeyError, TypeError) as e:
         raise DataError(f"{path}: corrupt TMIDX1 index ({type(e).__name__}: {e})") from None
 

@@ -34,9 +34,16 @@ if __name__ == "__main__":
 
 from tmlab.cli import main
 from tmlab.corpus import BOS, SEP_TOKEN, build_vocab, encode_corpus, save_tsv, subset, synth_task
-from tmlab.ensemble import PREDICT_MODES, decode, finetune_weighted, mode_seq_probs, tm_ids
+from tmlab.ensemble import (
+    PREDICT_MODES,
+    Family,
+    decode,
+    finetune_weighted,
+    mode_seq_probs,
+    tm_ids,
+)
 from tmlab.evalmetrics import token_ce
-from tmlab.model import ModelConfig, TrainConfig, train
+from tmlab.model import TRAIN_MODES, ModelConfig, TrainConfig, train
 from tmlab.retrieval import build_index, retrieve_topk
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -93,13 +100,12 @@ def _library(out: dict) -> None:
     """Training, fine-tuning, teacher-forced probabilities, decoding and
     cross entropy through the library calls."""
     task = synth_task(90, 4, 8, seed=7).corpus
-    corpus, valid, test = subset(task, range(60)), subset(task, range(60, 80)), \
-        subset(task, range(80, 83))
+    corpus, valid, test = (subset(task, r) for r in (range(60), range(60, 80), range(80, 83)))
     vocab = build_vocab(((p.source, p.target) for p in task), extra=(SEP_TOKEN,))
     index = build_index(encode_corpus(corpus, vocab))
     ckpts = {}
-    for arch, modes in (("vanilla", ("none",)), ("dual_enc", ("none", "topk", "single_multi")),
-                        ("single_enc", ("none", "topk", "single_multi"))):
+    for arch, modes in (("vanilla", ("none",)), ("dual_enc", TRAIN_MODES),
+                        ("single_enc", TRAIN_MODES)):
         cfg = ModelConfig(vocab_size=len(vocab), arch=arch, max_len=96, **SMALL)
         for mode in modes:
             ckpt = train(arch, corpus, mode, cfg, TRAIN_CFG, seed=3, vocab=vocab)
@@ -117,11 +123,8 @@ def _library(out: dict) -> None:
         fine[arch] = ft
     members = {("vanilla", "vanilla"): (ckpts["vanilla", "none"], None)}
     for arch in ("dual_enc", "single_enc"):
-        for mode in PREDICT_MODES:
-            members[arch, mode] = ((fine[arch].checkpoint, fine[arch].weightnet)
-                                   if mode == "weighted" else
-                                   (ckpts[arch, {"vanilla": "none", "base": "topk"}.get(
-                                       mode, "single_multi")], None))
+        family = Family({m: ckpts[arch, m] for m in TRAIN_MODES}, fine[arch])
+        members.update(((arch, mode), family.member(mode)) for mode in PREDICT_MODES)
     enc_test = encode_corpus(test, vocab)
     for (arch, mode), (ckpt, wn) in members.items():
         sep = vocab.sep_id if arch != "vanilla" else None

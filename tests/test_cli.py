@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from tmlab import autodiff as ad
 from tmlab.cli import main
 from tmlab.corpus import Vocab, load_tsv
-from tmlab.ensemble import finetune_weighted
+from tmlab.ensemble import finetune_weighted, init_weightnet, save_weightnet
 from tmlab.model import load_checkpoint
 
 
@@ -80,6 +81,12 @@ def test_synth_split_index_retrieve_pipeline(workdir, capsys):
     assert len(hits) == 3
     first = hits[0].split("\t")
     assert first[0] == "0" and first[2] == "1.000000"
+
+    # every command that writes a file leaves one manifest, beside its primary output
+    assert run("retrieve", "--index", "c.idx", "--queries", "q.txt") == 0
+    assert sorted(str(p) for p in Path(".").rglob("*.manifest.json")) == [
+        "c.idx.manifest.json", "c.tsv.manifest.json", "hits.tsv.manifest.json",
+        "parts/part1.tsv.manifest.json"]
 
 
 def test_retrieve_exclude_self(workdir):
@@ -209,6 +216,40 @@ def base_model(tmp_path_factory):
     return d
 
 
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(None, "not a model checkpoint (config: KeyError", id="a-weightnet"),
+    pytest.param(lambda arrays, meta: arrays.pop("gate.w"), "tensor 'gate.w'", id="no-gate-w"),
+    pytest.param(lambda arrays, meta: meta["config"].update(mystery=1),
+                 "not a model checkpoint (config: TypeError", id="unknown-config-key"),
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=32), "misshaped",
+                 id="config-wider-than-its-tensors"),
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=0), "must all be >= 1",
+                 id="zero-width-config"),
+])
+def test_a_checkpoint_tmlab_cannot_run_exits_2(workdir, base_model, capsys, edit, reason):
+    if edit is None:
+        save_weightnet(init_weightnet(16, 0), "bad.ckpt", {"d_model": 16})
+    else:
+        arrays, meta = ad.load_arrays(base_model / "m.ckpt")
+        edit(arrays, meta)
+        ad.save_arrays("bad.ckpt", arrays, meta)
+    capsys.readouterr()
+    assert run("eval", "ppl", "--ckpt", "bad.ckpt", "--vocab", str(base_model / "m.ckpt.vocab"),
+               "--tsv", str(base_model / "c.tsv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad.ckpt: ") and reason in err and err.count("\n") == 1
+
+
+def test_a_non_list_index_entry_exits_2(workdir, capsys):
+    body = zlib.compress(b'{"sources": ["fs1 s2"], "targets": [["x"]]}')
+    Path("bad.idx").write_bytes(b"TMIDX1\x00" + struct.pack("<I", len(body)) + body)
+    Path("q.txt").write_text("fs1 s2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("retrieve", "--index", "bad.idx", "--queries", "q.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad.idx: corrupt TMIDX1 index") and err.count("\n") == 1
+
+
 def test_eval_ppl_on_an_empty_corpus_exits_2(workdir, base_model, capsys):
     Path("empty.tsv").write_text("", encoding="utf-8")
     capsys.readouterr()
@@ -267,11 +308,16 @@ def test_finetune_weight_follows_its_backbone(workdir, capsys):
               "--out-weightnet", "wn.ckpt"]
     assert run(*common, "--curve-out", "curve.tsv") == 0
     vocab = Vocab.load("m.ckpt.vocab")
-    ft = finetune_weighted(load_checkpoint("m.ckpt", vocab), load_tsv("parts/part2.tsv"), vocab,
-                           load_tsv("parts/part1.tsv"), updates=2, seed=0, k=2,
-                           label_smoothing=0.05)
-    assert Path("curve.tsv").read_text(encoding="utf-8") == \
-        "".join(f"{u}\t{l:.6f}\n" for u, l in ft.curve)
+
+    def curve(**given) -> str:
+        ft = finetune_weighted(load_checkpoint("m.ckpt", vocab), load_tsv("parts/part2.tsv"),
+                               vocab, load_tsv("parts/part1.tsv"), updates=2, seed=0, **given)
+        return "".join(f"{u}\t{l:.6f}\n" for u, l in ft.curve)
+
+    # the library's defaults are the backbone's settings too, not TrainConfig's
+    written = Path("curve.tsv").read_text(encoding="utf-8")
+    assert written == curve(k=2, label_smoothing=0.05) == curve()
+    assert written != curve(k=5, label_smoothing=0.1)
 
     capsys.readouterr()
     assert run(*common, "--topk", "0") == 2

@@ -286,8 +286,9 @@ def test_train_family_trains_each_backbone_once(monkeypatch):
         trained.append((arch, mode, tc.epochs, seed))
         return f"ckpt:{mode}"
 
-    def fake_finetune(ckpt, valid, vocab, datastore, updates, seed, k, label_smoothing):
-        tuned.append((ckpt, valid, datastore, updates, seed, k, label_smoothing))
+    # the fine-tune reads k and smoothing from its backbone's own record
+    def fake_finetune(ckpt, valid, vocab, datastore, updates, seed):
+        tuned.append((ckpt, valid, datastore, updates, seed))
         return FinetuneResult(checkpoint="ckpt:tuned", weightnet="wn", curve=[],
                               selected_update=0)
 
@@ -301,7 +302,7 @@ def test_train_family_trains_each_backbone_once(monkeypatch):
     fam = train_family(("single", "average", "weighted"), "corpus", "vocab", recipe, 7,
                        "valid", 11)
     assert trained == [("dual_enc", "single_multi", len("single_multi"), 7)]
-    assert tuned == [("ckpt:single_multi", "valid", "corpus", 11, 7, 4, 0.2)]
+    assert tuned == [("ckpt:single_multi", "valid", "corpus", 11, 7)]
     assert fam.member("average") == ("ckpt:single_multi", None)
     assert fam.member("weighted") == ("ckpt:tuned", "wn")
 
@@ -403,6 +404,15 @@ def test_mode_seq_probs_rejects_unknown(setup):
     with pytest.raises(DataError):
         decode("weighted", ckpt, enc[0].source, index, k=0, sep_id=vocab.sep_id,
                weightnet=init_weightnet(ckpt.config.d_model, seed=0))
+
+
+@pytest.mark.parametrize("mode", [m for m in PREDICT_MODES if m != "vanilla"])
+def test_decode_in_a_tm_mode_needs_an_index(setup, mode):
+    _, vocab, ckpt, enc, _ = setup
+    wn = init_weightnet(ckpt.config.d_model, seed=0)
+    with pytest.raises(DataError, match=f"mode '{mode}' needs a retrieval index"):
+        decode(mode, ckpt, enc[0].source, None, k=2, sep_id=vocab.sep_id, weightnet=wn)
+    assert decode("vanilla", ckpt, enc[0].source, None, k=2, sep_id=vocab.sep_id, max_new=2)
 
 
 @pytest.fixture(scope="module")
