@@ -290,20 +290,18 @@ def finetune_weighted(
     seed: int = 0,
     k: int | None = None,
     batch_size: int = 16,
-    label_smoothing: float | None = None,
     eval_every: int | None = None,
 ) -> FinetuneResult:
     """Fine-tune backbone plus weighting network on 90% of the valid data,
     at the constant learning rate FINETUNE_LR.
 
     The remaining 10% selects the checkpoint: the parameters minimizing
-    held-out loss over the recorded curve (update 0 included) win. `k` and
-    `label_smoothing` default to the backbone's training settings, else
-    `TrainConfig`'s.
+    held-out loss over the recorded curve (update 0 included) win. Labels
+    are smoothed as the backbone's training smoothed them, and `k` defaults
+    to its training's; a backbone that records neither takes `TrainConfig`'s.
     """
     backbone = {**asdict(TrainConfig()), **ckpt.meta}
     k = backbone["k_retrieval"] if k is None else k
-    label_smoothing = backbone["label_smoothing"] if label_smoothing is None else label_smoothing
     if len(valid_corpus) < 10:
         raise DataError(f"valid corpus has {len(valid_corpus)} pairs; need at least 10")
     if ckpt.config.arch not in ("dual_enc", "single_enc"):
@@ -346,7 +344,7 @@ def finetune_weighted(
         p = ad.reshape(st.p, (B, R, T, cfg.vocab_size))[:, :K]
         mixed = ad.tsum(ad.mul(ad.reshape(ad.permute(w, (0, 2, 1)), (B, K, T, 1)), p), axis=1)
         y_out = _pad_batch([r.target + (EOS,) for r in pairs])
-        return ad.nll_from_probs(mixed, y_out, label_smoothing, PAD)
+        return ad.nll_from_probs(mixed, y_out, backbone["label_smoothing"], PAD)
 
     def heldout_loss() -> float:
         # per target token over the whole held-out split, as `token_ce` counts

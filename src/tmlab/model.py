@@ -62,6 +62,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if min(self.d_model, self.n_heads, self.ffn_dim, self.max_len) < 1:
             raise DataError("d_model, n_heads, ffn_dim and max_len must all be >= 1")
+        if min(self.n_src_layers, self.n_mem_layers, self.n_dec_layers) < 0:
+            raise DataError("layer counts must be >= 0")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.arch not in ARCHITECTURES:
@@ -550,9 +552,18 @@ def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> Checkpoint:
     arrays, meta = ad.load_arrays(path)
     try:
         cfg = ModelConfig(**meta.pop("config"))
-    except (AttributeError, KeyError, TypeError, DataError) as e:
+        # the file's own tensors bound the model built to compare against:
+        # the embedding gives V and D, and each layer has one FFN of width F
+        layers = (cfg.n_src_layers + cfg.n_dec_layers
+                  + (cfg.n_mem_layers if cfg.arch == "dual_enc" else 0))
+        ffn = [a.shape for k, a in arrays.items() if k.endswith(".ffn.w1")]
+        if (np.shape(arrays.get("emb")) != (cfg.vocab_size, cfg.d_model) or layers != len(ffn)
+                or any(f != (cfg.d_model, cfg.ffn_dim) for f in ffn)):
+            raise DataError("its sizes are not those of the file's tensors")
+        want = init_params(cfg, 0)
+    except (AttributeError, KeyError, TypeError, ValueError, DataError) as e:
         raise DataError(f"{path}: not a model checkpoint (config: {type(e).__name__}: {e})") from None
-    ad.check_tensor_set(path, "model checkpoint", arrays, init_params(cfg, 0))
+    ad.check_tensor_set(path, "model checkpoint", arrays, want)
     if vocab is not None and meta.get("vocab_hash") not in (None, vocab.content_hash()):
         raise DataError(f"{path}: vocab mismatch with checkpoint (hash differs)")
     params = {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}

@@ -5,8 +5,9 @@
 keeps (`finetune-weight`, `translate`, `eval ppl`, `biasvar`,
 `experiment low-resource`). `golden.json` stores each output's digest
 together with the facts of the machine that made them; floating-point
-results are only reproducible bit for bit on the same numpy, BLAS build
-and BLAS thread count.
+results are only reproducible bit for bit on the same numpy, BLAS build,
+BLAS thread count and CPU vector extensions. `conftest.py` pins a test
+run's BLAS thread count to the one `golden.json` records.
 
     python tests/golden.py --write
 
@@ -62,9 +63,10 @@ MAX_NEW = 8          # decode cap of the library-level decodes
 def machine_facts() -> dict:
     """What bitwise float results depend on beyond the code."""
     try:
-        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        config = np.show_config(mode="dicts")
     except (TypeError, AttributeError):
-        blas = {}
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     env = [os.environ.get(v) for v in THREAD_VARS]
     affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
@@ -73,6 +75,8 @@ def machine_facts() -> dict:
         # OpenBLAS runs one thread per CPU unless a variable caps it
         "blas_threads": next((v for v in env if v), str(affinity)),
         "machine": platform.machine(),
+        # numpy's loops and OpenBLAS's kernels are picked by the CPU's vector extensions
+        "simd": " ".join(config.get("SIMD Extensions", {}).get("found", [])),
     }
 
 

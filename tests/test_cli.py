@@ -221,10 +221,21 @@ def base_model(tmp_path_factory):
     pytest.param(lambda arrays, meta: arrays.pop("gate.w"), "tensor 'gate.w'", id="no-gate-w"),
     pytest.param(lambda arrays, meta: meta["config"].update(mystery=1),
                  "not a model checkpoint (config: TypeError", id="unknown-config-key"),
-    pytest.param(lambda arrays, meta: meta["config"].update(d_model=32), "misshaped",
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=32), "sizes are not those",
                  id="config-wider-than-its-tensors"),
     pytest.param(lambda arrays, meta: meta["config"].update(d_model=0), "must all be >= 1",
                  id="zero-width-config"),
+    pytest.param(lambda arrays, meta: meta["config"].update(vocab_size=-1), "sizes are not those",
+                 id="negative-vocab"),
+    # sizes no memory holds are refused before any tensor of that size is built
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=2**40, ffn_dim=2**40),
+                 "sizes are not those", id="huge-width"),
+    pytest.param(lambda arrays, meta: meta["config"].update(n_dec_layers=10**12),
+                 "sizes are not those", id="huge-depth"),
+    pytest.param(lambda arrays, meta: meta["config"].update(n_src_layers=-1, n_dec_layers=3),
+                 "layer counts must be >= 0", id="negative-depth"),
+    pytest.param(lambda arrays, meta: arrays.pop("dec0.ffn.w1"), "sizes are not those",
+                 id="a-layer-without-its-ffn"),
 ])
 def test_a_checkpoint_tmlab_cannot_run_exits_2(workdir, base_model, capsys, edit, reason):
     if edit is None:
@@ -309,15 +320,19 @@ def test_finetune_weight_follows_its_backbone(workdir, capsys):
     assert run(*common, "--curve-out", "curve.tsv") == 0
     vocab = Vocab.load("m.ckpt.vocab")
 
-    def curve(**given) -> str:
-        ft = finetune_weighted(load_checkpoint("m.ckpt", vocab), load_tsv("parts/part2.tsv"),
-                               vocab, load_tsv("parts/part1.tsv"), updates=2, seed=0, **given)
+    def curve(smoothing=None, **given) -> str:
+        ckpt = load_checkpoint("m.ckpt", vocab)
+        if smoothing is not None:
+            ckpt.meta["label_smoothing"] = smoothing
+        ft = finetune_weighted(ckpt, load_tsv("parts/part2.tsv"), vocab,
+                               load_tsv("parts/part1.tsv"), updates=2, seed=0, **given)
         return "".join(f"{u}\t{l:.6f}\n" for u, l in ft.curve)
 
     # the library's defaults are the backbone's settings too, not TrainConfig's
     written = Path("curve.tsv").read_text(encoding="utf-8")
-    assert written == curve(k=2, label_smoothing=0.05) == curve()
-    assert written != curve(k=5, label_smoothing=0.1)
+    assert written == curve() == curve(k=2)
+    assert written != curve(k=5)
+    assert written != curve(smoothing=0.1)
 
     capsys.readouterr()
     assert run(*common, "--topk", "0") == 2

@@ -481,8 +481,9 @@ def test_finetune_scores_what_inference_reads(setup, arch_ckpts, arch, store):
     n_valid = 200 if store == "heldout_of_two_batches" else 30
     valid_c = subset(task.corpus, [i % len(task.corpus) for i in range(n_valid)])
     datastore = subset(task.corpus, range(30, 32)) if store == "fewer_than_k_pairs" else task.corpus
-    ft = finetune_weighted(ckpt, valid_c, vocab, datastore, updates=0, seed=0, k=k,
-                           label_smoothing=0.0)
+    # a backbone trained without smoothing: its fine-tune loss is the plain NLL
+    unsmoothed = dataclasses.replace(ckpt, meta={**ckpt.meta, "label_smoothing": 0.0})
+    ft = finetune_weighted(unsmoothed, valid_c, vocab, datastore, updates=0, seed=0, k=k)
     n_fit = int(round(0.9 * n_valid))
     held = subset(valid_c, substream(0, "valid_split").permutation(n_valid)[n_fit:])
     nats, _ = token_ce(ft.checkpoint, held, vocab, mode="weighted",
