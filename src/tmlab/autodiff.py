@@ -12,6 +12,7 @@ losses do not silently accumulate here.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -66,34 +67,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # Operator sugar; the functions below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, key):
         return tslice(self, key)
@@ -312,13 +285,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(ls, (a,), vjp)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5    # added to the variance under layer norm's square root
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply the learned affine map."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     y = xc * inv
     out = y * gain.data + bias.data
     def vjp(g):
@@ -554,7 +530,7 @@ def update(loss: Tensor, params: dict[str, Tensor], state: AdamState, step: int,
         raise NumericError(f"non-finite loss at update {step}")
     zero_grads(params.values())
     backward(loss, params=params.values())
-    adam_step(params, clip_global_norm({k: p.grad for k, p in params.items()}, CLIP_NORM), state, lr)
+    adam_step(params, clip_global_norm({k: p.grad for k, p in params.items()}), state, lr)
     return value
 
 
@@ -566,11 +542,12 @@ def lr_inverse_sqrt(step: int, base_lr: float, warmup: int) -> float:
     return base_lr * math.sqrt(warmup / step)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+def clip_global_norm(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`grads` scaled down to a global norm of CLIP_NORM when theirs is larger."""
     total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-    if max_norm <= 0 or total <= max_norm or total == 0.0:
+    if total <= CLIP_NORM:
         return grads
-    scale = max_norm / total
+    scale = CLIP_NORM / total
     return {k: g * scale for k, g in grads.items()}
 
 
@@ -642,10 +619,12 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def check_tensor_set(path: str | Path, what: str, arrays: dict[str, np.ndarray],
-                     want: dict[str, Tensor]) -> None:
-    """Reject a loaded file whose tensor names and shapes are not `want`'s."""
+                     layout: Iterable[tuple[str, tuple[int, ...], str]]) -> None:
+    """Reject a loaded file whose tensor names and shapes are not those of
+    `layout`'s (name, shape, init) entries. At most one entry more than the
+    file holds is read, so no layout costs more than the file."""
     got = {k: v.shape for k, v in arrays.items()}
-    shapes = {k: v.data.shape for k, v in want.items()}
+    shapes = {name: shape for name, shape, _ in itertools.islice(layout, len(got) + 1)}
     if got != shapes:
         bad = sorted(set(got) ^ set(shapes)) or [k for k in sorted(got) if got[k] != shapes[k]]
         raise DataError(f"{path}: not a {what} (tensor '{bad[0]}' is missing, unexpected "

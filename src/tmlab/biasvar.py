@@ -22,17 +22,17 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, SEP_TOKEN, Vocab, build_vocab, encode_corpus, split_equal
-from tmlab.ensemble import batch_seq_probs, tm_ids, train_family
+from tmlab.ensemble import LOGP_FLOOR, batch_seq_probs, mode_tms, train_family
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import ModelConfig, TrainConfig
-from tmlab.retrieval import build_index, retrieve_topk
+from tmlab.retrieval import build_index
 from tmlab.seeding import subseed, substream
 
 
@@ -43,7 +43,6 @@ def worker_count() -> int:
     except ValueError:
         return 1
 
-EPS = 1e-12
 
 # Variance / squared-bias magnitudes observed when this family of models is
 # trained at production scale on a large legal-domain corpus (dual-encoder
@@ -66,7 +65,7 @@ def geometric_mean_dist(dists: Sequence[np.ndarray]) -> np.ndarray:
     """Normalized geometric mean: P(y) proportional to exp(mean_i log P_i(y))."""
     if len(dists) == 0:
         raise DataError("geometric_mean_dist needs at least one distribution")
-    stack = np.maximum(np.asarray(dists, dtype=np.float64), EPS)
+    stack = np.maximum(np.asarray(dists, dtype=np.float64), LOGP_FLOOR)
     g = np.exp(np.log(stack).mean(axis=0))
     return g / g.sum()
 
@@ -90,7 +89,7 @@ def kl(p: np.ndarray, q: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], EPS))))
+    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], LOGP_FLOOR))))
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +117,6 @@ class BiasVarReport:
     seed: int
     truncate: int
     n_points: int
-    seeds_used: list[int] = field(default_factory=list)
-
-    def entry(self, model: str) -> BiasVarEntry:
-        for e in self.entries:
-            if e.model == model:
-                return e
-        raise KeyError(model)
 
     def csv_rows(self) -> list[tuple]:
         rows = []
@@ -180,7 +172,7 @@ def decompose(dists_by_model: Sequence[np.ndarray], golds: np.ndarray,
         gold_onehot = np.zeros_like(pbar)
         gold_onehot[golds[pt]] = 1.0
         kl_gold += kl(gold_onehot, pbar)
-        loss_trunc += -float(np.mean([np.log(max(pm[golds[pt]], EPS)) for pm in per_model]))
+        loss_trunc += -float(np.mean([np.log(max(pm[golds[pt]], LOGP_FLOOR)) for pm in per_model]))
     var_forward /= n_points
     var_reverse /= n_points
     kl_gold /= n_points
@@ -211,8 +203,8 @@ def _run_split_unit(payload: dict) -> dict[str, np.ndarray]:
               file=sys.stderr)
 
     index = build_index(encode_corpus(split_corpus, vocab))
-    retrieved = [[tm_ids(z) for z in retrieve_topk(index, p.source, tc.k_retrieval)]
-                 for p in enc_test]
+    # every mode but vanilla reads these top-k TMs; vanilla's rows ignore them
+    retrieved = [mode_tms("base", index, p.source, tc.k_retrieval) for p in enc_test]
 
     def recipe(train_mode: str) -> tuple[str, ModelConfig | None, TrainConfig]:
         # single_multi presents each pair k+1 times per epoch; scale the
@@ -268,11 +260,9 @@ def estimate_bias_variance(
     splits = split_equal(corpus, k_splits, seed)
 
     units = []
-    seeds_used: list[int] = []
     for i in range(k_splits):
         for j in range(n_per_split):
             sub = subseed(seed, f"split{i}", f"rep{j}")
-            seeds_used.append(sub)
             units.append({
                 "modes": tuple(modes), "split": splits[i], "vocab": vocab,
                 "enc_test": enc_test, "valid": valid_corpus, "config": config,
@@ -301,7 +291,6 @@ def estimate_bias_variance(
         seed=seed,
         truncate=truncate,
         n_points=int(golds.size),
-        seeds_used=seeds_used,
     )
 
 

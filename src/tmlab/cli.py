@@ -304,7 +304,7 @@ def _load_model(a):
     vocab = Vocab.load(a.vocab)
     ckpt = load_checkpoint(a.ckpt, vocab)
     index = load_index(a.index, vocab) if a.index else None
-    wn = load_weightnet(a.weightnet)[0] if a.mode == "weighted" else None
+    wn = load_weightnet(a.weightnet, vocab)[0] if a.mode == "weighted" else None
     return vocab, ckpt, index, wn
 
 

@@ -36,7 +36,6 @@ class Vocab:
     """Bijection between token strings and dense ids; reserved ids come first."""
 
     tokens: tuple[str, ...]
-    counts: dict[str, int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
@@ -49,12 +48,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def id_of(self, token: str) -> int:
-        return self._index[token]
 
     @property
     def sep_id(self) -> int:
@@ -76,6 +69,12 @@ class Vocab:
     def content_hash(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
+    def check_recorded(self, meta: dict, what: str | Path) -> None:
+        """Reject `what`, whose `meta` records the hash of another vocab; a
+        file that records none passes."""
+        if meta.get("vocab_hash") not in (None, self.content_hash()):
+            raise DataError(f"{what}: vocab mismatch (it records another vocab's hash)")
+
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, "\n".join(self.tokens) + "\n")
 
@@ -84,22 +83,18 @@ class Vocab:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(lines[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise DataError(f"{path}: reserved tokens missing or reordered")
-        return Vocab(tokens=tuple(lines), counts={})
+        return Vocab(tokens=tuple(lines))
 
 
 def build_vocab(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-    min_freq: int = 1,
     extra: Sequence[str] = (),
 ) -> Vocab:
     """Build a vocab from (source, target) token pairs.
 
-    Tokens with count < min_freq are dropped (they encode to UNK).
     Ordering is deterministic: reserved ids, then descending count with
     lexicographic tie-break, then any `extra` special tokens.
     """
-    if min_freq < 1:
-        raise DataError(f"min_freq must be >= 1, got {min_freq}")
     counts: Counter[str] = Counter()
     n_pairs = 0
     for src, tgt in pairs:
@@ -109,11 +104,11 @@ def build_vocab(
     if n_pairs == 0:
         raise DataError("cannot build a vocab from an empty corpus")
     kept = sorted(
-        (t for t, c in counts.items() if c >= min_freq and t not in RESERVED_TOKENS),
+        (t for t in counts if t not in RESERVED_TOKENS),
         key=lambda t: (-counts[t], t),
     )
     tokens = RESERVED_TOKENS + tuple(kept) + tuple(extra)
-    return Vocab(tokens=tokens, counts=dict(counts))
+    return Vocab(tokens=tokens)
 
 
 @dataclass(frozen=True)
@@ -228,16 +223,6 @@ class SynthTask:
     def save_manifest(self, path: str | Path) -> None:
         lines = [f"{i}\t{t}" for i, t in enumerate(self.template_ids)]
         atomic_write_text(path, "\n".join(lines) + "\n")
-
-    @staticmethod
-    def load_manifest(path: str | Path) -> tuple[int, ...]:
-        out = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"{path}: line {lineno}: expected pair_id<TAB>template_id")
-            out.append(int(cols[1]))
-        return tuple(out)
 
 
 def synth_task(

@@ -38,7 +38,7 @@ from tmlab.model import (
     ModelConfig,
     TrainConfig,
     _pad_batch,
-    _xavier,
+    draw_params,
     epoch_batches,
     forward_rows,
     save_checkpoint,
@@ -57,6 +57,10 @@ TmIds = tuple[tuple[int, ...], tuple[int, ...]]  # (source ids, target ids)
 
 # The weighted fine-tune's learning rate, constant over its updates.
 FINETUNE_LR = 2e-4
+
+# The floor under a probability before its log, wherever a sequence or a
+# test set is scored, so that an exact zero costs a finite amount.
+LOGP_FLOOR = 1e-12
 
 
 def tm_ids(z: TmPair) -> TmIds:
@@ -215,24 +219,20 @@ def mode_seq_probs(mode: str, ckpt, sep_id, x, Z: Sequence[TmIds], y_in,
 # Weighting network
 # ---------------------------------------------------------------------------
 
-def init_weightnet(d_model: int, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
-    """Two linear layers with residual + layer norm, zero-initialized score head.
+def weightnet_layout(d_model: int) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of the weightnet's parameters, as `draw_params` reads them:
+    two linear layers with residual + layer norm, and a zero score head."""
+    D = d_model
+    return [("wn.w1", (2 * D, D), "xavier"), ("wn.b1", (D,), "zeros"),
+            ("wn.w2", (D, D), "xavier"), ("wn.b2", (D,), "zeros"),
+            ("wn.ln_g", (D,), "ones"), ("wn.ln_b", (D,), "zeros"),
+            ("wn.score_w", (D, 1), "zeros"), ("wn.score_b", (1,), "zeros")]
 
-    Zero scores make the initial weighted ensemble coincide exactly with
-    the average ensemble.
-    """
-    rng = substream(seed, "weightnet")
-    p = {
-        "wn.w1": _xavier(rng, 2 * d_model, d_model, dtype),
-        "wn.b1": np.zeros(d_model, dtype=dtype),
-        "wn.w2": _xavier(rng, d_model, d_model, dtype),
-        "wn.b2": np.zeros(d_model, dtype=dtype),
-        "wn.ln_g": np.ones(d_model, dtype=dtype),
-        "wn.ln_b": np.zeros(d_model, dtype=dtype),
-        "wn.score_w": np.zeros((d_model, 1), dtype=dtype),
-        "wn.score_b": np.zeros(1, dtype=dtype),
-    }
-    return {k: ad.parameter(v, dtype=dtype) for k, v in p.items()}
+
+def init_weightnet(d_model: int, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
+    """A fresh weightnet. Its zero scores make the initial weighted ensemble
+    coincide exactly with the average ensemble."""
+    return draw_params(weightnet_layout(d_model), substream(seed, "weightnet"), dtype)
 
 
 def weightnet_scores(wn, h_t: ad.Tensor, h_tk: ad.Tensor) -> ad.Tensor:
@@ -247,16 +247,17 @@ def weightnet_scores(wn, h_t: ad.Tensor, h_tk: ad.Tensor) -> ad.Tensor:
     return ad.reshape(s, (B, T, K))
 
 
-def save_weightnet(wn, path: str | Path, meta: dict | None = None) -> None:
-    ad.save_arrays(path, {k: v.data for k, v in wn.items()}, meta or {})
+def save_weightnet(wn, path: str | Path, meta: dict) -> None:
+    ad.save_arrays(path, {k: v.data for k, v in wn.items()}, meta)
 
 
-def load_weightnet(path: str | Path) -> tuple[dict[str, ad.Tensor], dict]:
-    """Load a weightnet; its tensors must be `init_weightnet`'s for one d_model."""
+def load_weightnet(path: str | Path, vocab: Vocab) -> tuple[dict[str, ad.Tensor], dict]:
+    """Load a weightnet for `vocab`; its tensors must be `init_weightnet`'s for one d_model."""
     arrays, meta = ad.load_arrays(path)
     b1 = arrays.get("wn.b1")
     d_model = b1.shape[0] if b1 is not None and b1.ndim == 1 else 0
-    ad.check_tensor_set(path, "weightnet file", arrays, init_weightnet(max(d_model, 1), 0))
+    ad.check_tensor_set(path, "weightnet file", arrays, weightnet_layout(d_model))
+    vocab.check_recorded(meta, path)
     return {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}, meta
 
 
@@ -485,7 +486,7 @@ def sequence_score(step_fn: StepFn, tokens: tuple[int, ...]) -> float:
     total = 0.0
     for t, tok in enumerate(full):
         dist = step_fn(full[:t])
-        total += math.log(max(float(dist[tok]), 1e-12))
+        total += math.log(max(float(dist[tok]), LOGP_FLOOR))
     return total / len(full)
 
 
@@ -499,11 +500,11 @@ def greedy_decode(step_fn: BatchStepFn, max_new: int) -> tuple[tuple[int, ...], 
     for _ in range(max_new):
         dist = step_fn([out])[0]
         tok = int(np.argmax(dist))
-        total += math.log(max(float(dist[tok]), 1e-12))
+        total += math.log(max(float(dist[tok]), LOGP_FLOOR))
         if tok == EOS:
             return out, total / (len(out) + 1)
         out = out + (tok,)
-    total += math.log(max(float(step_fn([out])[0][EOS]), 1e-12))
+    total += math.log(max(float(step_fn([out])[0][EOS]), LOGP_FLOOR))
     return out, total / (len(out) + 1)
 
 

@@ -10,18 +10,19 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, Vocab, encode_corpus
-from tmlab.ensemble import MAX_FORWARD_FLOATS, batch_seq_probs, mode_tms
+from tmlab.ensemble import LOGP_FLOOR, MAX_FORWARD_FLOATS, batch_seq_probs, mode_tms
 from tmlab.errors import DataError
 from tmlab.model import Checkpoint
 from tmlab.retrieval import RetrievalIndex
 
-CE_FLOOR = 1e-12
+# BLEU's highest n-gram order.
+MAX_N = 4
 
 
 @dataclass(frozen=True)
 class BleuResult:
     score: float                      # 0..100
-    precisions: tuple[float, ...]     # p_1..p_max_n
+    precisions: tuple[float, ...]     # p_1..p_MAX_N
     brevity_penalty: float
     hyp_len: int
     ref_len: int
@@ -31,7 +32,7 @@ def _ngram_counts(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(hyps: Sequence[Sequence], refs: Sequence[Sequence], max_n: int = 4) -> BleuResult:
+def corpus_bleu(hyps: Sequence[Sequence], refs: Sequence[Sequence]) -> BleuResult:
     """Corpus-level BLEU with brevity penalty.
 
     Add-one smoothing applies only to orders with zero matches, so
@@ -42,14 +43,14 @@ def corpus_bleu(hyps: Sequence[Sequence], refs: Sequence[Sequence], max_n: int =
         raise DataError(f"hypothesis count {len(hyps)} != reference count {len(refs)}")
     if len(hyps) == 0:
         raise DataError("corpus_bleu needs at least one sentence pair")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp, ref = list(hyp), list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hc = _ngram_counts(hyp, n)
             rc = _ngram_counts(ref, n)
             totals[n - 1] += max(len(hyp) - n + 1, 0)
@@ -61,7 +62,7 @@ def corpus_bleu(hyps: Sequence[Sequence], refs: Sequence[Sequence], max_n: int =
         else:
             precisions.append((m + 1) / (t + 1))
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
-    score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n) * 100.0
+    score = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_N) * 100.0
     return BleuResult(
         score=score,
         precisions=tuple(precisions),
@@ -72,8 +73,8 @@ def corpus_bleu(hyps: Sequence[Sequence], refs: Sequence[Sequence], max_n: int =
 
 
 def token_ce_from_dists(dists: np.ndarray, golds: np.ndarray) -> float:
-    """Mean -log P(gold) over rows; picked mass clipped into [1e-12, 1]."""
-    picked = np.clip(dists[np.arange(len(golds)), golds], CE_FLOOR, 1.0)
+    """Mean -log P(gold) over rows; picked mass clipped into [LOGP_FLOOR, 1]."""
+    picked = np.clip(dists[np.arange(len(golds)), golds], LOGP_FLOOR, 1.0)
     return float(-np.log(picked).mean())
 
 
@@ -90,8 +91,7 @@ def token_ce(
 
     Every non-pad target position counts once, the closing EOS included.
     """
-    if ckpt.meta.get("vocab_hash") not in (None, vocab.content_hash()):
-        raise DataError("vocab mismatch between corpus vocab and checkpoint")
+    vocab.check_recorded(ckpt.meta, "checkpoint")
     enc = encode_corpus(corpus, vocab)
     if not len(enc):
         raise DataError("no sentence pairs to score")

@@ -14,8 +14,6 @@ test set at each stage. High-resource trains on the full pool.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,10 +107,6 @@ class ExperimentConfig:
         if "modes" in d:
             d = {**d, "modes": tuple(d["modes"])}
         return ExperimentConfig(**d)
-
-    def config_hash(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass

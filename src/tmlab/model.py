@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class ModelConfig:
     arch: str = "vanilla"
 
     def __post_init__(self) -> None:
+        sizes = (self.vocab_size, self.d_model, self.n_heads, self.ffn_dim, self.max_len,
+                 self.n_src_layers, self.n_mem_layers, self.n_dec_layers)
+        if any(type(v) is not int for v in sizes):
+            raise DataError("model sizes and layer counts must be integers")
         if min(self.d_model, self.n_heads, self.ffn_dim, self.max_len) < 1:
             raise DataError("d_model, n_heads, ffn_dim and max_len must all be >= 1")
         if min(self.n_src_layers, self.n_mem_layers, self.n_dec_layers) < 0:
@@ -68,6 +72,8 @@ class ModelConfig:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.arch not in ARCHITECTURES:
             raise DataError(f"unknown architecture '{self.arch}'")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
     def from_attrs(cls, obj, vocab_size: int, arch: str) -> "ModelConfig":
@@ -82,6 +88,13 @@ class TrainConfig:
     warmup: int = 200
     label_smoothing: float = 0.1
     k_retrieval: int = 5
+
+    def __post_init__(self) -> None:
+        # warmup 1 is no warmup; at 0 the schedule's rate is 0 at every step
+        if min(self.epochs, self.batch_size, self.warmup) < 1:
+            raise DataError("epochs, batch_size and warmup must all be >= 1")
+        if not self.base_lr > 0:
+            raise DataError(f"the learning rate must be > 0, got {self.base_lr}")
 
     @classmethod
     def from_attrs(cls, obj, **given) -> "TrainConfig":
@@ -134,49 +147,55 @@ class DecodeCache:
 # Parameters
 # ---------------------------------------------------------------------------
 
-def _xavier(rng, fan_in, fan_out, dtype):
-    lim = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(dtype)
+def param_layout(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of each parameter of `cfg`'s model, in the order
+    `init_params` draws them; `draw_params` says what each init means."""
+    D, F, V = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
+    norm = [("ln_g", (D,), "ones"), ("ln_b", (D,), "zeros")]
+    attn = ([(w, (D, D), "xavier") for w in ("wq", "wk", "wv", "wo")]
+            + [(b, (D,), "zeros") for b in ("bq", "bk", "bv", "bo")] + norm)
+    ffn = [("w1", (D, F), "xavier"), ("b1", (F,), "zeros"), ("w2", (F, D), "xavier"),
+           ("b2", (D,), "zeros")] + norm
+    yield "emb", (V, D), "normal"
+    # zero output head: an untrained model predicts the uniform distribution
+    yield "out_w", (D, V), "zeros"
+    yield "out_b", (V,), "zeros"
+    stacks = [("src", cfg.n_src_layers, ("self", "ffn")),
+              ("dec", cfg.n_dec_layers, ("self", "cross", "ffn"))]
+    if cfg.arch == "dual_enc":
+        stacks.insert(1, ("mem", cfg.n_mem_layers, ("self", "ffn")))
+    for stack, n_layers, blocks in stacks:
+        for i in range(n_layers):
+            for blk in blocks:
+                for name, shape, init in (ffn if blk == "ffn" else attn):
+                    yield f"{stack}{i}.{blk}.{name}", shape, init
+        yield f"{stack}.lnf_g", (D,), "ones"
+        yield f"{stack}.lnf_b", (D,), "zeros"
+    if cfg.arch == "dual_enc":
+        yield "tm.w", (D, D), "xavier"      # bilinear attention map
+        yield "tm.h", (D, D), "xavier"      # TM context projection
+        yield "gate.w", (D, 1), "zeros"
+        yield "gate.b", (1,), "zeros"
+
+
+def draw_params(layout: Iterable[tuple[str, tuple[int, ...], str]], rng: np.random.Generator,
+                dtype) -> dict[str, ad.Tensor]:
+    """The parameters of a (name, shape, init) layout, drawn from `rng` in its
+    order: "normal" is a standard normal over sqrt of the second axis,
+    "xavier" is Xavier-uniform, and "zeros" and "ones" draw nothing."""
+    def draw(shape, init):
+        if init == "normal":
+            return rng.standard_normal(shape) / math.sqrt(shape[1])
+        if init == "xavier":
+            lim = math.sqrt(6.0 / (shape[0] + shape[1]))
+            return rng.uniform(-lim, lim, size=shape)
+        return (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
+
+    return {name: ad.parameter(draw(shape, init), dtype=dtype) for name, shape, init in layout}
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, ad.Tensor]:
-    rng = substream(seed, "init")
-    D, F, V = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
-    p: dict[str, np.ndarray] = {}
-    p["emb"] = (rng.standard_normal((V, D)) / math.sqrt(D)).astype(dtype)
-    # zero output head: an untrained model predicts the uniform distribution
-    p["out_w"] = np.zeros((D, V), dtype=dtype)
-    p["out_b"] = np.zeros(V, dtype=dtype)
-
-    def make_layer(prefix: str, cross: bool) -> None:
-        for blk in (("self",) if not cross else ("self", "cross")):
-            for w in ("wq", "wk", "wv", "wo"):
-                p[f"{prefix}.{blk}.{w}"] = _xavier(rng, D, D, dtype)
-            for b in ("bq", "bk", "bv", "bo"):
-                p[f"{prefix}.{blk}.{b}"] = np.zeros(D, dtype=dtype)
-            p[f"{prefix}.{blk}.ln_g"] = np.ones(D, dtype=dtype)
-            p[f"{prefix}.{blk}.ln_b"] = np.zeros(D, dtype=dtype)
-        p[f"{prefix}.ffn.w1"] = _xavier(rng, D, F, dtype)
-        p[f"{prefix}.ffn.b1"] = np.zeros(F, dtype=dtype)
-        p[f"{prefix}.ffn.w2"] = _xavier(rng, F, D, dtype)
-        p[f"{prefix}.ffn.b2"] = np.zeros(D, dtype=dtype)
-        p[f"{prefix}.ffn.ln_g"] = np.ones(D, dtype=dtype)
-        p[f"{prefix}.ffn.ln_b"] = np.zeros(D, dtype=dtype)
-
-    stacks = [("src", cfg.n_src_layers, False), ("dec", cfg.n_dec_layers, True)]
-    if cfg.arch == "dual_enc":
-        stacks.insert(1, ("mem", cfg.n_mem_layers, False))
-    for stack, n_layers, cross in stacks:
-        for i in range(n_layers):
-            make_layer(f"{stack}{i}", cross)
-        p[f"{stack}.lnf_g"] = np.ones(D, dtype=dtype)
-        p[f"{stack}.lnf_b"] = np.zeros(D, dtype=dtype)
-    if cfg.arch == "dual_enc":
-        p["tm.w"] = _xavier(rng, D, D, dtype)      # bilinear attention map
-        p["tm.h"] = _xavier(rng, D, D, dtype)      # TM context projection
-        p["gate.w"] = np.zeros((D, 1), dtype=dtype)
-        p["gate.b"] = np.zeros(1, dtype=dtype)
-    return {k: ad.parameter(v, dtype=dtype) for k, v in p.items()}
+    return draw_params(param_layout(cfg), substream(seed, "init"), dtype)
 
 
 _pe_cache: dict[tuple[int, int, str], np.ndarray] = {}
@@ -411,9 +430,8 @@ def mix_gate(lam: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor) -> ad.Tensor:
     return ad.add(ad.mul(ad.sub(1.0, lam), p_nmt), ad.mul(lam, p_tm))
 
 
-def gate_and_mix(h_tz: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor,
-                 gate_w: ad.Tensor, gate_b: ad.Tensor,
-                 has_tm: np.ndarray | None = None) -> tuple[ad.Tensor, ad.Tensor]:
+def gate_and_mix(h_tz: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor, gate_w: ad.Tensor,
+                 gate_b: ad.Tensor, has_tm: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
     """Mix generator and copy distributions through the learned gate.
 
     The gate is the sigmoid of a linear map of the contextualized TM
@@ -421,8 +439,7 @@ def gate_and_mix(h_tz: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor,
     Returns (mixture, gate).
     """
     lam = ad.sigmoid(ad.add(ad.matmul(h_tz, gate_w), gate_b))
-    if has_tm is not None:
-        lam = ad.mul(lam, ad.Tensor(has_tm[:, None, None].astype(lam.data.dtype)))
+    lam = ad.mul(lam, ad.Tensor(has_tm[:, None, None].astype(lam.data.dtype)))
     return mix_gate(lam, p_nmt, p_tm), lam
 
 
@@ -483,8 +500,7 @@ def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray | None, mem: Memory
     # of the same scores keeps that exact at any score magnitude
     alpha_copy = masked_attention(scores, copy_slots)
     p_tm = copy_distribution(alpha_copy, tok, cfg.vocab_size)
-    p, lam = gate_and_mix(h_tz, p_nmt, p_tm, params["gate.w"], params["gate.b"],
-                          has_tm=has_tm)
+    p, lam = gate_and_mix(h_tz, p_nmt, p_tm, params["gate.w"], params["gate.b"], has_tm)
     return DecoderState(p=p, p_nmt=p_nmt, h=h, logits=logits, p_tm=p_tm, lam=lam,
                         h_tz=h_tz, alpha=alpha)
 
@@ -547,25 +563,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     ad.save_arrays(path, {k: v.data for k, v in ckpt.params.items()}, meta)
 
 
-def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> Checkpoint:
-    """A checkpoint whose tensors are exactly those its config's model holds."""
+def load_checkpoint(path: str | Path, vocab: Vocab) -> Checkpoint:
+    """A checkpoint for `vocab` whose tensors are exactly those its config's model holds."""
     arrays, meta = ad.load_arrays(path)
     try:
         cfg = ModelConfig(**meta.pop("config"))
-        # the file's own tensors bound the model built to compare against:
-        # the embedding gives V and D, and each layer has one FFN of width F
-        layers = (cfg.n_src_layers + cfg.n_dec_layers
-                  + (cfg.n_mem_layers if cfg.arch == "dual_enc" else 0))
-        ffn = [a.shape for k, a in arrays.items() if k.endswith(".ffn.w1")]
-        if (np.shape(arrays.get("emb")) != (cfg.vocab_size, cfg.d_model) or layers != len(ffn)
-                or any(f != (cfg.d_model, cfg.ffn_dim) for f in ffn)):
-            raise DataError("its sizes are not those of the file's tensors")
-        want = init_params(cfg, 0)
-    except (AttributeError, KeyError, TypeError, ValueError, DataError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: not a model checkpoint (config: {type(e).__name__}: {e})") from None
-    ad.check_tensor_set(path, "model checkpoint", arrays, want)
-    if vocab is not None and meta.get("vocab_hash") not in (None, vocab.content_hash()):
-        raise DataError(f"{path}: vocab mismatch with checkpoint (hash differs)")
+    ad.check_tensor_set(path, "model checkpoint", arrays, param_layout(cfg))
+    vocab.check_recorded(meta, path)
     params = {k: ad.parameter(v, dtype=v.dtype) for k, v in arrays.items()}
     return Checkpoint(params=params, config=cfg, meta=meta)
 
@@ -574,9 +580,9 @@ def load_checkpoint(path: str | Path, vocab: Vocab | None = None) -> Checkpoint:
 # Training
 # ---------------------------------------------------------------------------
 
-def _pad_batch(seqs: Sequence[Sequence[int]], pad: int = PAD) -> np.ndarray:
+def _pad_batch(seqs: Sequence[Sequence[int]]) -> np.ndarray:
     L = max(len(s) for s in seqs)
-    out = np.full((len(seqs), L), pad, dtype=np.int64)
+    out = np.full((len(seqs), L), PAD, dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s
     return out

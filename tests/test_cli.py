@@ -7,7 +7,7 @@ import pytest
 
 from tmlab import autodiff as ad
 from tmlab.cli import main
-from tmlab.corpus import Vocab, load_tsv
+from tmlab.corpus import SEP_TOKEN, Vocab, build_vocab, load_tsv
 from tmlab.ensemble import finetune_weighted, init_weightnet, save_weightnet
 from tmlab.model import load_checkpoint
 
@@ -221,20 +221,22 @@ def base_model(tmp_path_factory):
     pytest.param(lambda arrays, meta: arrays.pop("gate.w"), "tensor 'gate.w'", id="no-gate-w"),
     pytest.param(lambda arrays, meta: meta["config"].update(mystery=1),
                  "not a model checkpoint (config: TypeError", id="unknown-config-key"),
-    pytest.param(lambda arrays, meta: meta["config"].update(d_model=32), "sizes are not those",
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=32), "tensor 'dec.lnf_b'",
                  id="config-wider-than-its-tensors"),
     pytest.param(lambda arrays, meta: meta["config"].update(d_model=0), "must all be >= 1",
                  id="zero-width-config"),
-    pytest.param(lambda arrays, meta: meta["config"].update(vocab_size=-1), "sizes are not those",
+    pytest.param(lambda arrays, meta: meta["config"].update(vocab_size=-1), "tensor 'emb'",
                  id="negative-vocab"),
+    pytest.param(lambda arrays, meta: meta["config"].update(d_model=16.0), "must be integers",
+                 id="float-width"),
     # sizes no memory holds are refused before any tensor of that size is built
     pytest.param(lambda arrays, meta: meta["config"].update(d_model=2**40, ffn_dim=2**40),
-                 "sizes are not those", id="huge-width"),
+                 "tensor 'dec.lnf_b'", id="huge-width"),
     pytest.param(lambda arrays, meta: meta["config"].update(n_dec_layers=10**12),
-                 "sizes are not those", id="huge-depth"),
+                 "tensor 'dec.lnf_b'", id="huge-depth"),
     pytest.param(lambda arrays, meta: meta["config"].update(n_src_layers=-1, n_dec_layers=3),
                  "layer counts must be >= 0", id="negative-depth"),
-    pytest.param(lambda arrays, meta: arrays.pop("dec0.ffn.w1"), "sizes are not those",
+    pytest.param(lambda arrays, meta: arrays.pop("dec0.ffn.w1"), "tensor 'dec0.ffn.w1'",
                  id="a-layer-without-its-ffn"),
 ])
 def test_a_checkpoint_tmlab_cannot_run_exits_2(workdir, base_model, capsys, edit, reason):
@@ -249,6 +251,21 @@ def test_a_checkpoint_tmlab_cannot_run_exits_2(workdir, base_model, capsys, edit
                "--tsv", str(base_model / "c.tsv")) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: bad.ckpt: ") and reason in err and err.count("\n") == 1
+
+
+def test_a_weightnet_for_another_vocab_exits_2(workdir, base_model, capsys):
+    other = build_vocab([(["zz"], ["qq"])], extra=(SEP_TOKEN,))
+    save_weightnet(init_weightnet(16, 0), "wn.ckpt",
+                   {"d_model": 16, "vocab_hash": other.content_hash()})
+    Path("in.txt").write_text("fs1 s2\n", encoding="utf-8")
+    common = ["--mode", "weighted", "--weightnet", "wn.ckpt", "--topk", "2",
+              "--index", str(base_model / "c.idx"), "--ckpt", str(base_model / "m.ckpt"),
+              "--vocab", str(base_model / "m.ckpt.vocab")]
+    capsys.readouterr()
+    assert run("translate", *common, "--input", "in.txt", "--out", "h.txt") == 2
+    assert run("eval", "ppl", *common, "--tsv", str(base_model / "c.tsv")) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 2 and all(l.startswith("data error: wn.ckpt: vocab mismatch") for l in lines)
 
 
 def test_a_non_list_index_entry_exits_2(workdir, capsys):
@@ -393,6 +410,28 @@ def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
     assert run("experiment", "low-resource", "--out-dir", "x", "--config", "cfg.json") == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not Path("x").exists()
+
+
+@pytest.mark.parametrize("flags, reason", [
+    pytest.param(["--warmup", "0"], "warmup must all be >= 1", id="warmup-0"),
+    pytest.param(["--epochs", "0"], "epochs, batch_size and warmup", id="epochs-0"),
+    pytest.param(["--batch-size", "0"], "epochs, batch_size and warmup", id="batch-size-0"),
+    pytest.param(["--dropout", "1.0"], "dropout must be in [0, 1)", id="dropout-1"),
+    pytest.param(["--dropout", "-0.5"], "dropout must be in [0, 1)", id="negative-dropout"),
+    pytest.param(["--lr", "-1"], "learning rate must be > 0", id="negative-lr"),
+])
+@pytest.mark.parametrize("command", [
+    ["train", "--arch", "vanilla", "--out", "m.ckpt"],
+    ["biasvar", "--test-tsv", "c.tsv", "--out-csv", "m.ckpt"],
+], ids=["train", "biasvar"])
+def test_a_training_setting_that_cannot_train_exits_2(workdir, capsys, command, flags, reason):
+    run("corpus", "synth", "--pairs", "20", "--templates", "2", "--lexicon", "5",
+        "--seed", "0", "--out", "c.tsv")
+    capsys.readouterr()
+    assert run(*command, "--tsv", "c.tsv", "--quiet", *TRAIN_FLAGS, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and reason in err and err.count("\n") == 1
+    assert not Path("m.ckpt").exists()
 
 
 def test_biasvar_unknown_model_exits_1(workdir, capsys):

@@ -176,11 +176,11 @@ def test_weightnet_d_model_guard(setup):
 
 
 def test_weightnet_roundtrip(tmp_path, setup):
-    _, _, ckpt, _, _ = setup
+    _, vocab, ckpt, _, _ = setup
     wn = init_weightnet(ckpt.config.d_model, seed=3)
     path = tmp_path / "wn.tmlab"
     save_weightnet(wn, path, {"d_model": ckpt.config.d_model})
-    back, meta = load_weightnet(path)
+    back, meta = load_weightnet(path, vocab)
     assert meta["d_model"] == ckpt.config.d_model
     for k in wn:
         np.testing.assert_array_equal(back[k].data, wn[k].data)
@@ -198,7 +198,7 @@ def test_load_weightnet_rejects_other_layouts(tmp_path, arrays):
     path = tmp_path / "wn.tmlab"
     ad.save_arrays(path, {k: getattr(v, "data", v) for k, v in arrays.items()}, {})
     with pytest.raises(DataError, match="not a weightnet file"):
-        load_weightnet(path)
+        load_weightnet(path, build_vocab([(["a"], ["b"])]))
 
 
 def test_finetune_weighted_contract():
