@@ -240,18 +240,32 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # Linear algebra, lookups, normalizations
 # ---------------------------------------------------------------------------
 
+def _matmul_data(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DataError(f"{op}: operands must be >= 2-d, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DataError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    return a @ b
+
+
+def _matmul_vjp(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of a @ b for the output gradient g."""
+    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DataError(f"matmul: operands must be >= 2-d, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DataError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = a.data @ b.data
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-    return _from_op(out, (a, b), vjp)
+    out = _matmul_data("matmul", a.data, b.data)
+    return _from_op(out, (a, b), lambda g: _matmul_vjp(g, a.data, b.data))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, bitwise add(matmul(x, w), b) forward and back."""
+    out = _matmul_data("linear", x.data, w.data)
+    _elementwise("linear", operator.iadd, out, b.data)
+    return _from_op(out, (x, w, b), lambda g: (*_matmul_vjp(g, x.data, w.data),
+                                               _unbroadcast(g, b.data.shape)))
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -291,20 +305,21 @@ LN_EPS = 1e-5    # added to the variance under layer norm's square root
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply the learned affine map."""
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    D = x.shape[-1]
+    def mean(t):    # np.mean's sum and division, without its Python layer
+        return np.add.reduce(t, axis=-1, keepdims=True) / D
+    xc = x - mean(x)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + LN_EPS)
     y = xc * inv
     out = y * gain.data + bias.data
     def vjp(g):
         dy = g * gain.data
-        dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+        dx = inv * (dy - mean(dy) - y * mean(dy * y))
         reduce_axes = tuple(range(g.ndim - 1))
         dgain = (g * y).sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
-        return dx.astype(x.dtype), dgain, dbias
-    return _from_op(out.astype(x.dtype), (a, gain, bias), vjp)
+        return dx.astype(x.dtype, copy=False), dgain, dbias
+    return _from_op(out.astype(x.dtype, copy=False), (a, gain, bias), vjp)
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -354,7 +369,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None, train: bool) -
     if rng is None:
         raise DataError("dropout in training mode needs an rng")
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    return _from_op(a.data * keep, (a,), lambda g: (g * keep,))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray | None = None) -> Tensor:
@@ -362,12 +377,24 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray 
 
     q: (..., Tq, d), k: (..., Tk, d), v: (..., Tk, dv). mask_bias is an
     additive constant (0 where allowed, large negative where masked).
+    One node that keeps only the probabilities, bitwise the unfused chain
+    swap_last, matmul, mul, add, softmax and matmul forward and back.
     """
-    d = q.data.shape[-1]
-    scores = mul(matmul(q, swap_last(k)), 1.0 / math.sqrt(d))
+    scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1]), dtype=q.data.dtype)
+    kt = np.swapaxes(k.data, -1, -2)
+    s = _matmul_data("scaled_dot_attention", q.data, kt)
+    s *= scale
     if mask_bias is not None:
-        scores = add(scores, Tensor(mask_bias.astype(q.data.dtype)))
-    return matmul(softmax(scores, axis=-1), v)
+        _elementwise("scaled_dot_attention", operator.iadd, s, mask_bias.astype(s.dtype, copy=False))
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    def vjp(g):
+        gs, gv = _matmul_vjp(g, s, v.data)
+        ds = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * scale
+        gq, gkt = _matmul_vjp(ds, q.data, kt)
+        return gq, np.swapaxes(gkt, -1, -2), gv
+    return _from_op(_matmul_data("scaled_dot_attention", s, v.data), (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +541,11 @@ def adam_step(
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape or state.m[name].shape != p.data.shape:
             raise DataError(f"adam_step: shape drift for '{name}'")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
         p.data = p.data - lr * (m / c1) / np.sqrt(v / c2 + ADAM_EPS)
     return params
 

@@ -240,10 +240,10 @@ def weightnet_scores(wn, h_t: ad.Tensor, h_tk: ad.Tensor) -> ad.Tensor:
     B, T, K, D = h_tk.shape
     ht = ad.broadcast_to(ad.reshape(h_t, (B, T, 1, D)), (B, T, K, D))
     u = ad.concat([ht, h_tk], axis=-1)
-    h1 = ad.relu(ad.add(ad.matmul(u, wn["wn.w1"]), wn["wn.b1"]))
-    h2 = ad.add(ad.matmul(h1, wn["wn.w2"]), wn["wn.b2"])
+    h1 = ad.relu(ad.linear(u, wn["wn.w1"], wn["wn.b1"]))
+    h2 = ad.linear(h1, wn["wn.w2"], wn["wn.b2"])
     o = ad.layer_norm(ad.add(h1, h2), wn["wn.ln_g"], wn["wn.ln_b"])
-    s = ad.add(ad.matmul(o, wn["wn.score_w"]), wn["wn.score_b"])
+    s = ad.linear(o, wn["wn.score_w"], wn["wn.score_b"])
     return ad.reshape(s, (B, T, K))
 
 

@@ -31,7 +31,7 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
-from tmlab.ensemble import PREDICT_MODES, Family, decode_all, train_family
+from tmlab.ensemble import BACKBONE, PREDICT_MODES, Family, decode_all, train_family
 from tmlab.errors import DataError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.fileio import atomic_write_text
@@ -94,6 +94,12 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in PREDICT_MODES:
                 raise UsageError(f"unknown mode '{m}'")
+        # build every config the recipe will, so that a setting no model can
+        # train with is refused before anything is written; the vocab size is
+        # known only once the data is, and has no range to check
+        recipe = _recipe(self, 1)
+        for train_mode in dict.fromkeys(BACKBONE[m] for m in self.modes):
+            recipe(train_mode)
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -135,12 +141,12 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     return PreparedData(train_pool=pool, valid=valid, test=test, vocab=vocab)
 
 
-def _recipe(cfg: ExperimentConfig, vocab: Vocab):
+def _recipe(cfg: ExperimentConfig, vocab_size: int):
     """Vanilla NMT trains `epochs` on the vanilla arch, every TM backbone
     `tm_epochs` on the dual encoder."""
     def recipe(train_mode: str) -> tuple[str, ModelConfig, TrainConfig]:
         arch, epochs = ("vanilla", cfg.epochs) if train_mode == "none" else ("dual_enc", cfg.tm_epochs)
-        return (arch, ModelConfig.from_attrs(cfg, len(vocab), arch),
+        return (arch, ModelConfig.from_attrs(cfg, vocab_size, arch),
                 TrainConfig.from_attrs(cfg, epochs=epochs, k_retrieval=cfg.topk))
 
     return recipe
@@ -199,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = True) -> list[dict]:
 
     if verbose:
         print(f"[train] {','.join(cfg.modes)} on {len(train_corpus)} pairs", file=sys.stderr)
-    family = train_family(cfg.modes, train_corpus, data.vocab, _recipe(cfg, data.vocab),
+    family = train_family(cfg.modes, train_corpus, data.vocab, _recipe(cfg, len(data.vocab)),
                           cfg.seed, data.valid, cfg.finetune_updates)
     rows = []
     for stage, datastore in stages:

@@ -244,7 +244,7 @@ def _mha(params, prefix, q_in, kv_in, mask_bias, cfg, rng, train, cache=None) ->
     values of kv_in extend those kept under `prefix`, and a None kv_in reads
     the kept ones as they are."""
     def proj(w, b, t):
-        return ad.add(ad.matmul(t, params[f"{prefix}.{w}"]), params[f"{prefix}.{b}"])
+        return ad.linear(t, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
 
     def kv(w, b):
         new = None if kv_in is None else _heads_split(proj(w, b, kv_in), cfg.n_heads)
@@ -258,8 +258,8 @@ def _mha(params, prefix, q_in, kv_in, mask_bias, cfg, rng, train, cache=None) ->
 
 
 def _ffn(params, prefix, x, cfg, rng, train) -> ad.Tensor:
-    h = ad.relu(ad.add(ad.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    h = ad.add(ad.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    h = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    h = ad.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
     return ad.dropout(h, cfg.dropout, rng, train)
 
 
@@ -438,7 +438,7 @@ def gate_and_mix(h_tz: ad.Tensor, p_nmt: ad.Tensor, p_tm: ad.Tensor, gate_w: ad.
     state; rows flagged TM-less in `has_tm` have it forced to zero.
     Returns (mixture, gate).
     """
-    lam = ad.sigmoid(ad.add(ad.matmul(h_tz, gate_w), gate_b))
+    lam = ad.sigmoid(ad.linear(h_tz, gate_w, gate_b))
     lam = ad.mul(lam, ad.Tensor(has_tm[:, None, None].astype(lam.data.dtype)))
     return mix_gate(lam, p_nmt, p_tm), lam
 
@@ -475,7 +475,7 @@ def forward_vanilla(params, cfg: ModelConfig, x_ids: np.ndarray | None, y_in: np
     once the cache holds its encoding (see `forward_rows`)."""
     h = _decode_stack(params, cfg, y_in, _encode_source(params, cfg, x_ids, rng, train),
                       x_ids, rng, train, cache)
-    logits = ad.add(ad.matmul(h, params["out_w"]), params["out_b"])
+    logits = ad.linear(h, params["out_w"], params["out_b"])
     p = ad.softmax(logits, axis=-1)
     return DecoderState(p=p, p_nmt=p, h=h, logits=logits)
 
@@ -486,7 +486,7 @@ def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray | None, mem: Memory
     """As `forward_vanilla`, then copy and gate over the TM memory `mem`."""
     h = _decode_stack(params, cfg, y_in, _encode_source(params, cfg, x_ids, rng, train),
                       x_ids, rng, train, cache)
-    logits = ad.add(ad.matmul(h, params["out_w"]), params["out_b"])
+    logits = ad.linear(h, params["out_w"], params["out_b"])
     p_nmt = ad.softmax(logits, axis=-1)
     tm = _tm_memory(params, cfg, mem, rng, train, cache)
     if tm is None:

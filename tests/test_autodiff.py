@@ -129,7 +129,7 @@ def test_mlp_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "div", "matmul", "relu", "sigmoid", "softmax",
+    "add", "sub", "mul", "div", "matmul", "linear", "relu", "sigmoid", "softmax",
     "log_softmax", "layer_norm", "concat", "slice", "sum", "mean",
     "embedding", "gather", "scatter_vocab", "index_select2", "attention", "log",
 ])
@@ -153,6 +153,14 @@ def test_each_op_gradcheck(op_name):
         w = t64(rng.normal(size=(4, 2)), grad=True)
         f = lambda: ad.tsum(ad.matmul(a, w))
         assert check_gradients(f, {"a": a, "w": w}) < 1e-6
+        return
+    elif op_name == "linear":
+        w = t64(rng.normal(size=(4, 2)), grad=True)
+        c = t64(rng.normal(size=2), grad=True)
+        for x in (a, t64(rng.normal(size=(2, 3, 4)), grad=True)):
+            proj = ad.Tensor(rng.normal(size=x.shape[:-1] + (2,)))
+            f = lambda: ad.tsum(ad.mul(ad.linear(x, w, c), proj))
+            assert check_gradients(f, {"x": x, "w": w, "c": c}) < 1e-6
         return
     elif op_name == "relu":
         f = lambda: ad.tsum(ad.relu(a))
@@ -220,6 +228,107 @@ def test_each_op_gradcheck(op_name):
         raise AssertionError(op_name)
 
     assert check_gradients(f, {"a": a, "b": b}) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Fused ops: forward and gradients bitwise those of the ops they replace
+# ---------------------------------------------------------------------------
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def _forward_and_grads(f, arrays):
+    """f's output on `arrays` and every input's gradient of a fixed random
+    projection of that output."""
+    ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    out = f(*ts)
+    proj = np.random.default_rng(99).normal(size=out.shape).astype(out.dtype)
+    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(proj))))
+    return [out.data, *(t.grad for t in ts)]
+
+
+def assert_bitwise(fused, unfused, *arrays):
+    got, want = _forward_and_grads(fused, arrays), _forward_and_grads(unfused, arrays)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.float32 and np.array_equal(g, w)
+
+
+def unfused_attention(q, k, v, mask_bias=None):
+    scores = ad.mul(ad.matmul(q, ad.swap_last(k)), 1.0 / math.sqrt(q.shape[-1]))
+    if mask_bias is not None:
+        scores = ad.add(scores, ad.Tensor(mask_bias.astype(q.dtype)))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+@pytest.mark.parametrize("x_shape, out_dim", [((24, 64), 1), ((8, 12, 64), 128),
+                                              ((8, 12, 64), 202)], ids=["2d", "3d", "3d-vocab"])
+def test_linear_is_bitwise_matmul_then_add(x_shape, out_dim):
+    rng = np.random.default_rng(1)
+    assert_bitwise(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                   _f32(rng, *x_shape), _f32(rng, x_shape[-1], out_dim), _f32(rng, out_dim))
+
+
+def _heads(rng, B, T, H=4, Dh=16):
+    # the model's layout: (B, T, H, Dh) permuted to (B, H, T, Dh), not contiguous
+    return np.transpose(_f32(rng, B, T, H, Dh), (0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("Tq, Tk, masked", [(12, 12, False), (12, 12, True), (12, 15, True),
+                                            (1, 15, True)],
+                         ids=["self", "self-masked", "cross-masked", "decode-step"])
+def test_attention_is_bitwise_its_unfused_chain(Tq, Tk, masked):
+    rng = np.random.default_rng(2)
+    q, k, v = _heads(rng, 8, Tq), _heads(rng, 8, Tk), _heads(rng, 8, Tk)
+    assert not (k.flags.c_contiguous or v.flags.c_contiguous)
+    mask = None
+    if masked:
+        mask = np.where(rng.random((8, 1, 1, Tk)) < 0.2, -1e9, 0.0)   # key padding
+        if Tq == Tk:    # self-attention is also causal
+            mask = mask + np.where(np.arange(Tk)[None, :] > np.arange(Tq)[:, None], -1e9, 0.0)
+        mask = mask.astype(np.float32)
+    assert_bitwise(lambda q, k, v: ad.scaled_dot_attention(q, k, v, mask),
+                   lambda q, k, v: unfused_attention(q, k, v, mask), q, k, v)
+
+
+def test_dropout_is_bitwise_a_mul_by_its_keep_mask():
+    p = 0.1
+    def unfused(a):
+        keep = (np.random.default_rng(5).random(a.shape) >= p).astype(a.dtype) / (1.0 - p)
+        return ad.mul(a, ad.Tensor(keep))
+    assert_bitwise(lambda a: ad.dropout(a, p, np.random.default_rng(5), True), unfused,
+                   _f32(np.random.default_rng(3), 8, 12, 64))
+
+
+def test_layer_norm_is_bitwise_its_np_mean_formula():
+    rng = np.random.default_rng(4)
+    x, gain, bias = _f32(rng, 8, 12, 64), _f32(rng, 64), _f32(rng, 64)
+    out, dx, dgain, dbias = _forward_and_grads(ad.layer_norm, (x, gain, bias))
+    g = np.random.default_rng(99).normal(size=x.shape).astype(np.float32)  # the projection
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LN_EPS)
+    y = xc * inv
+    dy = g * gain
+    want_dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    for got, want in ((out, (y * gain + bias).astype(x.dtype)), (dx, want_dx.astype(x.dtype)),
+                      (dgain, (g * y).sum(axis=(0, 1))), (dbias, g.sum(axis=(0, 1)))):
+        assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
+
+
+def test_adam_in_place_moments_are_bitwise_the_out_of_place_formula():
+    rng = np.random.default_rng(6)
+    p = {"w": ad.parameter(_f32(rng, 64, 128))}
+    w, m, v = p["w"].data.copy(), np.zeros_like(p["w"].data), np.zeros_like(p["w"].data)
+    state = ad.adam_init(p, lr=1e-3)
+    b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
+    for t in (1, 2, 3):
+        g = _f32(rng, 64, 128)
+        ad.adam_step(p, {"w": g}, state, lr=5e-4 * t)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        w = w - 5e-4 * t * (m / (1.0 - b1 ** t)) / np.sqrt(v / (1.0 - b2 ** t) + ad.ADAM_EPS)
+        for got, want in ((p["w"].data, w), (state.m["w"], m), (state.v["w"], v)):
+            assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,24 @@ def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
     assert not Path("x").exists()
 
 
+@pytest.mark.parametrize("flags, config, reason", [
+    pytest.param(["--epochs", "0"], {}, "epochs, batch_size and warmup", id="epochs-0"),
+    pytest.param(["--tm-epochs", "0"], {}, "epochs, batch_size and warmup", id="tm-epochs-0"),
+    pytest.param([], {"warmup": 0}, "epochs, batch_size and warmup", id="warmup-0"),
+    pytest.param([], {"batch_size": 0}, "epochs, batch_size and warmup", id="batch-size-0"),
+    pytest.param([], {"dropout": 1.0}, "dropout must be in [0, 1)", id="dropout-1"),
+    pytest.param([], {"base_lr": -1}, "learning rate must be > 0", id="negative-lr"),
+])
+def test_an_experiment_setting_that_cannot_train_exits_2_before_writing(workdir, capsys, flags,
+                                                                        config, reason):
+    Path("cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    assert run("experiment", "low-resource", "--out-dir", "x", "--config", "cfg.json",
+               "--quiet", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and reason in err and err.count("\n") == 1
+    assert not Path("x").exists()
+
+
 @pytest.mark.parametrize("flags, reason", [
     pytest.param(["--warmup", "0"], "warmup must all be >= 1", id="warmup-0"),
     pytest.param(["--epochs", "0"], "epochs, batch_size and warmup", id="epochs-0"),
