@@ -121,24 +121,30 @@ def add(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = _elementwise("add", operator.add, a.data, b.data)
-    return _from_op(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+    return _from_op(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = _elementwise("sub", operator.sub, a.data, b.data)
-    return _from_op(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+    return _from_op(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     out = _elementwise("mul", operator.mul, a.data, b.data)
-    return _from_op(
-        out, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+    return _from_op(out, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -146,8 +152,8 @@ def div(a, b) -> Tensor:
     b = _as_tensor(b, like=a)
     out = _elementwise("div", operator.truediv, a.data, b.data)
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
         return ga, gb
     return _from_op(out, (a, b), vjp)
 
@@ -195,13 +201,23 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _from_op(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    return _from_op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def swap_last(a: Tensor) -> Tensor:
     """Transpose the trailing two axes."""
-    return _from_op(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    return _from_op(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
+
+
+def repeat_rows(a: Tensor, n: int) -> Tensor:
+    """Each row of `a`'s leading axis `n` times in turn; the VJP sums each
+    row's copies. `a` itself when n is 1."""
+    if n == 1:
+        return a
+    shape = a.data.shape
+    return _from_op(np.repeat(a.data, n, axis=0), (a,),
+                    lambda g: (g.reshape((shape[0], n) + shape[1:]).sum(axis=1),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -250,8 +266,8 @@ def _matmul_data(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _matmul_vjp(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of a @ b for the output gradient g."""
-    return (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-            _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+    return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -381,7 +397,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray 
     swap_last, matmul, mul, add, softmax and matmul forward and back.
     """
     scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1]), dtype=q.data.dtype)
-    kt = np.swapaxes(k.data, -1, -2)
+    kt = k.data.swapaxes(-1, -2)
     s = _matmul_data("scaled_dot_attention", q.data, kt)
     s *= scale
     if mask_bias is not None:
@@ -393,7 +409,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray 
         gs, gv = _matmul_vjp(g, s, v.data)
         ds = (gs - (gs * s).sum(axis=-1, keepdims=True)) * s * scale
         gq, gkt = _matmul_vjp(ds, q.data, kt)
-        return gq, np.swapaxes(gkt, -1, -2), gv
+        return gq, gkt.swapaxes(-1, -2), gv
     return _from_op(_matmul_data("scaled_dot_attention", s, v.data), (q, k, v), vjp)
 
 

@@ -193,11 +193,10 @@ def batch_seq_probs(mode: str, ckpt, sep_id, items: Sequence[tuple], weightnet=N
         per_forward = max(1, MAX_FORWARD_FLOATS // (R * T * ckpt.config.vocab_size))
         for lo in range(0, len(members), per_forward):
             ids = members[lo : lo + per_forward]
-            y = np.asarray([items[i][2] for i in ids for _ in range(R)], dtype=np.int64)
+            y = np.asarray([items[i][2] for i in ids], dtype=np.int64)
             with ad.no_grad():
-                st = forward_rows(ckpt.params, ckpt.config, sep_id,
-                                  [tuple(items[i][0]) for i in ids for _ in range(R)],
-                                  [tm for i in ids for tm in rows[i]], y)
+                st = forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(items[i][0]) for i in ids],
+                                  [rows[i] for i in ids], y)
             probs, weights = combine_rows(mode, st, R, weightnet)
             for j, i in enumerate(ids):
                 out[i] = (probs[j], None if weights is None else weights[j])
@@ -336,9 +335,12 @@ def finetune_weighted(
         pairs = [enc_valid[int(i)] for i in ids]
         rows = [mode_rows("weighted", ckpt, tms[int(i)], wn) for i in ids]
         R = len(rows[0])
-        y_in = np.repeat(_pad_batch([(BOS,) + r.target for r in pairs]), R, axis=0)
-        st = forward_rows(ckpt.params, cfg, sep, [r.source for r in pairs for _ in range(R)],
-                          [tm for rs in rows for tm in rs], y_in,
+        sources, y_in = [r.source for r in pairs], _pad_batch([(BOS,) + r.target for r in pairs])
+        if train:
+            # a row per source, so that every row draws its own dropout
+            sources, rows = [x for x in sources for _ in range(R)], [[tm] for rs in rows for tm in rs]
+            y_in = np.repeat(y_in, R, axis=0)
+        st = forward_rows(ckpt.params, cfg, sep, sources, rows, y_in,
                           drop_rng if train else None, train)
         w = ad.softmax(mixture_scores(wn, st, R), axis=-1)                # (B, T, K)
         B, T, K = w.shape
@@ -450,8 +452,8 @@ def make_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> StepFn:
 
 
 def make_cached_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> BatchStepFn:
-    """The incremental step: one forward over every prefix × every row the
-    mode reads, each row reading only its newest token.
+    """The incremental step: one forward over every prefix, each with every
+    row the mode reads, reading only its newest token.
 
     The first call takes empty prefixes and encodes the source and the
     TMs once; each prefix of a later call extends one of the previous
@@ -466,14 +468,13 @@ def make_cached_step_fn(mode: str, ckpt, sep_id, x, Z, weightnet=None) -> BatchS
     def step(prefixes: Sequence[tuple[int, ...]]) -> np.ndarray:
         nonlocal last
         if cache.steps:
-            parents = np.asarray([last[p[:-1]] for p in prefixes])
-            cache.select((parents[:, None] * R + np.arange(R)).ravel())
-            y = np.repeat(np.asarray([p[-1] for p in prefixes], dtype=np.int64), R)[:, None]
+            cache.select(np.asarray([last[p[:-1]] for p in prefixes]))
+            y = np.asarray([p[-1:] for p in prefixes], dtype=np.int64)
         else:
-            y = np.full((len(prefixes) * R, 1), BOS, dtype=np.int64)
+            y = np.full((len(prefixes), 1), BOS, dtype=np.int64)
         with ad.no_grad():
             st = forward_rows(ckpt.params, ckpt.config, sep_id, [tuple(x)] * len(y),
-                              rows * len(prefixes), y, cache=cache)
+                              [rows] * len(y), y, cache=cache)
         last = {p: i for i, p in enumerate(prefixes)}
         return combine_rows(mode, st, R, weightnet)[0][:, -1]
 

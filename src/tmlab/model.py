@@ -18,6 +18,7 @@ trainable; the production-scale lineage for this family is 512-dim,
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -121,15 +122,20 @@ class DecoderState:
 
 
 class DecodeCache:
-    """What an incremental forward keeps between calls, every entry indexed
-    by batch row: the decoder's cross-attention keys and values and the TM
-    memory, computed on the first call, and each decoder self-attention
-    layer's keys, values and key-pad bias for the positions read so far.
-    Inference only; `select` reorders or duplicates rows, as a beam does
-    with its hypotheses, in place."""
+    """What an incremental forward keeps between calls: the decoder's
+    cross-attention keys and values and the TM memory, computed on the
+    first call, and each decoder self-attention layer's keys, values and
+    key-pad bias for the positions read so far.
+
+    Every entry holds a fixed number of batch rows per source of the last
+    forward (per hypothesis, when decoding): a dual encoder's decoder entries
+    one, its TM entries one per TM row, and any other architecture's
+    entries one per row. Inference only; `select` reorders or duplicates
+    the sources, as a beam does with its hypotheses, in place."""
 
     def __init__(self) -> None:
         self.steps = 0                          # target positions read so far
+        self.n_sources = 0                      # sources of the last forward
         self.rows: dict[str, np.ndarray] = {}
 
     def extend(self, name: str, new: np.ndarray | None, axis: int) -> np.ndarray:
@@ -139,8 +145,14 @@ class DecodeCache:
             self.rows[name] = new if old is None else np.concatenate((old, new), axis=axis)
         return self.rows[name]
 
-    def select(self, rows: np.ndarray) -> None:
-        self.rows = {name: v[rows] for name, v in self.rows.items()}
+    def select(self, parents: np.ndarray) -> None:
+        """Keep, for each next source, the rows of the last forward's source
+        that `parents` names."""
+        def rows(v: np.ndarray) -> np.ndarray:
+            per = v.shape[0] // self.n_sources
+            return (parents[:, None] * per + np.arange(per)).ravel()
+
+        self.rows = {name: v[rows(v)] for name, v in self.rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -337,49 +349,31 @@ def build_memory_batch(tm_lists: Sequence[Sequence[tuple[tuple, tuple]]], sep_id
     invalid slots point at (0, 0) and are masked.
     """
     B = len(tm_lists)
-    seqs: list[tuple[int, ...]] = []
-    per_ex: list[list[tuple[int, int, int, bool]]] = []  # (seq, pos, tok, is_tgt)
-    for tms in tm_lists:
-        slots: list[tuple[int, int, int, bool]] = []
-        for src, tgt in tms:
-            seq = tuple(src) + (sep_id,) + tuple(tgt)
-            if len(seq) > max_len:
-                raise DataError(f"TM sequence length {len(seq)} exceeds max_len {max_len}")
-            si = len(seqs)
-            seqs.append(seq)
-            for j, tok in enumerate(src):
-                slots.append((si, j, tok, False))
-            for j, tok in enumerate(tgt):
-                slots.append((si, len(src) + 1 + j, tok, True))
-        per_ex.append(slots)
-
-    M = max((len(s) for s in per_ex), default=0)
-    M = max(M, 1)
-    L = max((len(s) for s in seqs), default=1)
+    n_tms = np.asarray([len(tms) for tms in tm_lists], dtype=np.int64)
+    seqs = [(*src, sep_id, *tgt) for tms in tm_lists for src, tgt in tms]
+    seq_len = np.asarray([len(s) for s in seqs], dtype=np.int64)
+    if (seq_len > max_len).any():
+        raise DataError(f"TM sequence length {seq_len[seq_len > max_len][0]} exceeds max_len {max_len}")
+    src_len = np.asarray([len(src) for tms in tm_lists for src, _ in tms], dtype=np.int64)
+    L = int(seq_len.max(initial=1))
     seq_ids = np.full((len(seqs), L), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        seq_ids[i, : len(s)] = s
-    pool_seq = np.zeros((B, M), dtype=np.int64)
-    pool_pos = np.zeros((B, M), dtype=np.int64)
-    pool_tok = np.zeros((B, M), dtype=np.int64)
-    pool_valid = np.zeros((B, M), dtype=bool)
-    pool_is_tgt = np.zeros((B, M), dtype=bool)
-    for b, slots in enumerate(per_ex):
-        for m, (si, pos, tok, is_tgt) in enumerate(slots):
-            pool_seq[b, m] = si
-            pool_pos[b, m] = pos
-            pool_tok[b, m] = tok
-            pool_valid[b, m] = True
-            pool_is_tgt[b, m] = is_tgt
-    return MemoryBatch(
-        seq_ids=seq_ids,
-        pool_seq=pool_seq,
-        pool_pos=pool_pos,
-        pool_tok=pool_tok,
-        pool_valid=pool_valid,
-        pool_is_tgt=pool_is_tgt,
-        has_tm=np.asarray([len(s) > 0 for s in per_ex], dtype=bool),
-    )
+    pos = np.arange(L)
+    seq_ids[pos < seq_len[:, None]] = np.fromiter(itertools.chain.from_iterable(seqs), np.int64)
+
+    # pooled slots in (sequence, position) order: every token but the separator
+    seq, at = np.nonzero((pos < seq_len[:, None]) & (pos != src_len[:, None]))
+    ex = np.repeat(np.arange(B), n_tms)[seq]
+    per_ex = np.bincount(ex, minlength=B)
+    slot = np.arange(len(seq)) - (np.cumsum(per_ex) - per_ex)[ex]
+
+    def pool(values, dtype) -> np.ndarray:
+        out = np.zeros((B, int(per_ex.max(initial=1))), dtype=dtype)
+        out[ex, slot] = values
+        return out
+
+    return MemoryBatch(seq_ids=seq_ids, pool_seq=pool(seq, np.int64), pool_pos=pool(at, np.int64),
+                       pool_tok=pool(seq_ids[seq, at], np.int64), pool_valid=pool(True, bool),
+                       pool_is_tgt=pool(at > src_len[seq], bool), has_tm=per_ex > 0)
 
 
 def build_concat_source(x: Sequence[int], tms: Sequence[tuple[tuple, tuple]], sep_id: int,
@@ -481,13 +475,16 @@ def forward_vanilla(params, cfg: ModelConfig, x_ids: np.ndarray | None, y_in: np
 
 
 def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray | None, mem: MemoryBatch | None,
-                 y_in: np.ndarray, rng=None, train=False,
-                 cache: DecodeCache | None = None) -> DecoderState:
-    """As `forward_vanilla`, then copy and gate over the TM memory `mem`."""
+                 y_in: np.ndarray, rng=None, train=False, cache: DecodeCache | None = None,
+                 rows: int = 1) -> DecoderState:
+    """As `forward_vanilla`, then copy and gate over the TM memory `mem`,
+    which holds `rows` TM rows for each row of x_ids and y_in in turn."""
     h = _decode_stack(params, cfg, y_in, _encode_source(params, cfg, x_ids, rng, train),
                       x_ids, rng, train, cache)
     logits = ad.linear(h, params["out_w"], params["out_b"])
     p_nmt = ad.softmax(logits, axis=-1)
+    # the TMs enter only from here on: every TM row of a source reads its decoder's outputs
+    h, logits, p_nmt = (ad.repeat_rows(t, rows) for t in (h, logits, p_nmt))
     tm = _tm_memory(params, cfg, mem, rng, train, cache)
     if tm is None:
         # no TM anywhere in the batch: the gate is forced shut
@@ -506,24 +503,38 @@ def forward_dual(params, cfg: ModelConfig, x_ids: np.ndarray | None, mem: Memory
 
 
 def forward_rows(params, cfg: ModelConfig, sep_id: int | None, sources: Sequence[Sequence[int]],
-                 tm_lists: Sequence[Sequence[tuple[tuple, tuple]]], y_in: np.ndarray,
+                 row_tms: Sequence[Sequence[Sequence[tuple[tuple, tuple]]]], y_in: np.ndarray,
                  rng=None, train=False, cache: DecodeCache | None = None) -> DecoderState:
-    """One forward over a batch of rows, each a source with its own TM pairs.
+    """One forward over R rows per source: row r of source i reads the TM
+    pairs row_tms[i][r] and the target prefix y_in[i]. The state holds the
+    rows source by source, row r of source i at i * R + r.
 
-    The one place that knows how TMs enter each architecture: the dual
-    encoder reads them as a memory batch (none when no row has a TM), the
-    single encoder as a separator-joined source, and vanilla not at all.
+    The one place that knows how TMs enter each architecture. The dual
+    encoder reads them after its decoder stack, as a memory batch (none
+    when no row has a TM), so its source encoder, decoder and generator
+    run once per source and their outputs are copied to the source's
+    rows. The single encoder reads them in a separator-joined source and
+    vanilla not at all, so each of their rows runs as a source of its own.
 
     With a cache (inference only), the first call encodes the sources and
-    TMs once; every later call continues each row's target with y_in, its
-    newest tokens, and reads neither `sources` nor `tm_lists`.
+    TMs once; every later call continues each source's target with y_in,
+    its newest tokens, and reads of `sources` and `row_tms` only how many
+    rows each source has.
     """
+    R = len(row_tms[0]) if len(row_tms) else 1
+    if R < 1 or any(len(rs) != R for rs in row_tms):
+        raise DataError("every source needs the same number of rows, at least one")
+    if cache is not None:
+        cache.n_sources = len(y_in)
+    if cfg.arch != "dual_enc" and R > 1:
+        sources = [s for s in sources for _ in range(R)]
+        y_in = np.repeat(y_in, R, axis=0)
     if cache is not None and cache.steps:
         x = mem = None
     else:
-        x, mem = _layout(cfg, sep_id, sources, tm_lists)
+        x, mem = _layout(cfg, sep_id, sources, [tms for rs in row_tms for tms in rs])
     if cfg.arch == "dual_enc":
-        state = forward_dual(params, cfg, x, mem, y_in, rng, train, cache)
+        state = forward_dual(params, cfg, x, mem, y_in, rng, train, cache, rows=R)
     else:
         state = forward_vanilla(params, cfg, x, y_in, rng, train, cache)
     if cache is not None:
@@ -719,8 +730,8 @@ def _train_step(params, cfg, enc, tms, chunk, tc, state, step, sep, drop_rng) ->
         [(tms[i][r].source, tms[i][r].target) for r in ranks] if tms is not None else []
         for i, ranks in chunk
     ]
-    out = forward_rows(params, cfg, sep, [enc[i].source for i, _ in chunk], tm_sel, y_in,
-                       rng=drop_rng, train=True)
+    out = forward_rows(params, cfg, sep, [enc[i].source for i, _ in chunk],
+                       [[tms] for tms in tm_sel], y_in, rng=drop_rng, train=True)
     if cfg.arch == "dual_enc":
         loss_t = ad.nll_from_probs(out.p, y_out, tc.label_smoothing, PAD)
     else:

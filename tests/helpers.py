@@ -1,4 +1,5 @@
-"""Shared numeric test utilities: central finite differences and error norms."""
+"""Shared test utilities: central finite differences, error norms, and the
+teacher-forced reference in which every forward row is a source of its own."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from typing import Callable
 import numpy as np
 
 from tmlab import autodiff as ad
+from tmlab.ensemble import combine_rows, mode_rows
+from tmlab.model import forward_rows
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,3 +73,17 @@ def check_gradients(
         err = max_rel_err(ana, num)
         worst = max(worst, err)
     return worst
+
+
+def rows_as_sources(mode, ckpt, sep, x, Z, y_in, wn):
+    """One sentence's distributions (T, V) and mixture weights (T, K), or
+    None, with each of its rows run as a source of its own: the layout
+    teacher-forced scoring had before a dual encoder's rows shared one
+    decoder pass."""
+    rows = mode_rows(mode, ckpt, Z, wn)
+    y = np.repeat(np.asarray([y_in], dtype=np.int64), len(rows), axis=0)
+    with ad.no_grad():
+        st = forward_rows(ckpt.params, ckpt.config, sep, [tuple(x)] * len(rows),
+                          [[tms] for tms in rows], y)
+    probs, weights = combine_rows(mode, st, len(rows), wn)
+    return probs[0], None if weights is None else weights[0]

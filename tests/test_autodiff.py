@@ -131,7 +131,7 @@ def test_mlp_gradients_match_finite_differences():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "div", "matmul", "linear", "relu", "sigmoid", "softmax",
     "log_softmax", "layer_norm", "concat", "slice", "sum", "mean",
-    "embedding", "gather", "scatter_vocab", "index_select2", "attention", "log",
+    "embedding", "gather", "scatter_vocab", "index_select2", "attention", "log", "repeat_rows",
 ])
 def test_each_op_gradcheck(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -224,10 +224,50 @@ def test_each_op_gradcheck(op_name):
         f = lambda: ad.tsum(ad.mul(ad.tlog(ad.clip_min(x, 1e-12)), b))
         assert check_gradients(f, {"x": x}) < 1e-6
         return
+    elif op_name == "repeat_rows":
+        x = t64(rng.normal(size=(3, 2, 4)), grad=True)
+        w = ad.Tensor(np.asarray(rng.normal(size=(9, 2, 4))))
+        f = lambda: ad.tsum(ad.mul(ad.repeat_rows(x, 3), w))
+        assert check_gradients(f, {"x": x}) < 1e-6
+        return
     else:
         raise AssertionError(op_name)
 
     assert check_gradients(f, {"a": a, "b": b}) < 1e-6
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_a_constant_operand_costs_no_gradient(op):
+    """The VJP computes no gradient for an operand that takes none, and the
+    other operand's is the one it computed before."""
+    p = t64([[1.5, -2.0, 0.5], [3.0, 1.0, -1.0]], grad=True)
+    c = t64([2.0, 4.0, 0.5])
+    g = np.arange(6.0).reshape(2, 3)
+    for out, const, grad in ((op(p, c), 1, 0), (op(c, p), 0, 1)):
+        grads = out._vjp(g)
+        assert grads[const] is None
+        both = op(*(t64(t.data, grad=True) for t in out._parents))._vjp(g)
+        np.testing.assert_array_equal(grads[grad], both[grad])
+
+
+def test_repeat_rows_copies_each_row_in_turn():
+    x = t64(np.arange(12.0).reshape(3, 2, 2), grad=True)
+    np.testing.assert_array_equal(ad.repeat_rows(x, 2).data, np.repeat(x.data, 2, axis=0))
+    assert ad.repeat_rows(x, 1) is x
+
+
+@pytest.mark.parametrize("axes", [(0, 2, 1, 3), (3, 0, 2, 1), (1, 0), (0, 1, 2)])
+def test_permute_and_swap_last_are_the_same_views(axes):
+    shape = (2, 3, 4, 5)[: len(axes)]
+    x = t64(np.arange(float(np.prod(shape))).reshape(shape), grad=True)
+    y = ad.permute(x, axes)
+    assert np.shares_memory(y.data, x.data)
+    np.testing.assert_array_equal(y.data, np.transpose(x.data, axes))
+    g = np.ones(y.shape) * np.arange(y.shape[-1])
+    np.testing.assert_array_equal(y._vjp(g)[0], np.transpose(g, np.argsort(axes)))
+    s = ad.swap_last(x)
+    assert np.shares_memory(s.data, x.data)
+    np.testing.assert_array_equal(s.data, np.swapaxes(x.data, -1, -2))
 
 
 # ---------------------------------------------------------------------------

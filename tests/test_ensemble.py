@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rows_as_sources
 from tmlab.corpus import (
     BOS,
     EOS,
@@ -15,13 +16,14 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
-from tmlab import ensemble
+from tmlab import ensemble, model
 from tmlab.ensemble import (
     PREDICT_MODES,
     Family,
     FinetuneResult,
     batch_seq_probs,
     beam_decode,
+    combine_rows,
     decode,
     finetune_weighted,
     greedy_decode,
@@ -30,6 +32,7 @@ from tmlab.ensemble import (
     make_cached_step_fn,
     make_step_fn,
     mix_components,
+    mode_rows,
     mode_seq_probs,
     save_weightnet,
     sequence_score,
@@ -40,7 +43,7 @@ from tmlab.ensemble import (
 from tmlab import autodiff as ad
 from tmlab.errors import DataError, NumericError
 from tmlab.evalmetrics import token_ce
-from tmlab.model import ModelConfig, TrainConfig, init_params, train, Checkpoint
+from tmlab.model import DecodeCache, ModelConfig, TrainConfig, forward_rows, init_params, train, Checkpoint
 from tmlab.retrieval import build_index, retrieve_topk
 from tmlab.seeding import substream
 
@@ -596,3 +599,107 @@ def test_beam_stop_returns_the_exhaustive_result(seed, V, width, max_new, scale,
 
 def tm_ids_stub():
     return ((5,), (6,))
+
+
+# ---------------------------------------------------------------------------
+# Grouped rows: a dual encoder's TM rows share one decoder pass
+# ---------------------------------------------------------------------------
+
+def _cached_rows_as_sources(mode, ckpt, sep, x, Z, wn):
+    """`make_cached_step_fn` with every row a source of its own, as it was
+    written before rows were grouped."""
+    rows = mode_rows(mode, ckpt, Z, wn)
+    R, cache, last = len(rows), DecodeCache(), {}
+
+    def step(prefixes):
+        nonlocal last
+        if cache.steps:
+            parents = np.asarray([last[p[:-1]] for p in prefixes])
+            cache.select((parents[:, None] * R + np.arange(R)).ravel())
+            y = np.repeat(np.asarray([p[-1] for p in prefixes], dtype=np.int64), R)[:, None]
+        else:
+            y = np.full((len(prefixes) * R, 1), BOS, dtype=np.int64)
+        with ad.no_grad():
+            st = forward_rows(ckpt.params, ckpt.config, sep, [tuple(x)] * len(y),
+                              [[tms] for tms in rows] * len(prefixes), y, cache=cache)
+        last = {p: i for i, p in enumerate(prefixes)}
+        return combine_rows(mode, st, R, wn)[0][:, -1]
+
+    return step
+
+
+@pytest.mark.parametrize("mode", PREDICT_MODES)
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_grouped_rows_score_bitwise_as_rows_of_their_own(setup, arch_ckpts, arch, mode):
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    k = {"vanilla": 0, "single": 1}.get(mode, 3)
+    items = [(p.source, _zs(index, p.source, k), (BOS,) + p.target) for p in enc[6:18]]
+    for (x, Z, y_in), (probs, weights) in zip(items, batch_seq_probs(mode, ckpt, sep, items, wn)):
+        ref_p, ref_w = rows_as_sources(mode, ckpt, sep, x, Z, y_in, wn)
+        assert np.array_equal(probs, ref_p)
+        assert (weights is None) == (ref_w is None)
+        assert weights is None or np.array_equal(weights, ref_w)
+
+
+@pytest.mark.parametrize("mode", PREDICT_MODES)
+@pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
+def test_grouped_cached_steps_bitwise_as_rows_of_their_own(setup, arch_ckpts, arch, mode):
+    """Hypotheses reordered, duplicated and extended: every step equals the
+    cached step whose rows are sources of their own."""
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts[arch], vocab.sep_id
+    p = enc[6]
+    Z = _zs(index, p.source, {"vanilla": 0, "single": 1}.get(mode, 3))
+    step = make_cached_step_fn(mode, ckpt, sep, p.source, Z, wn)
+    ref = _cached_rows_as_sources(mode, ckpt, sep, p.source, Z, wn)
+    rng = np.random.default_rng(5)
+    prefixes = [()]
+    for t in range(7):
+        assert np.array_equal(step(prefixes), ref(prefixes))
+        parents = rng.integers(0, len(prefixes), size=min(4, t + 2))
+        prefixes = [prefixes[i] + (int(rng.integers(0, len(vocab))),) for i in parents]
+
+
+@pytest.fixture
+def decoder_rows(monkeypatch):
+    """(rows, train) of every decoder-stack call."""
+    seen, real = [], model._decode_stack
+
+    def recording(params, cfg, y_in, enc, src_ids, rng, train, cache=None):
+        seen.append((y_in.shape[0], train))
+        return real(params, cfg, y_in, enc, src_ids, rng, train, cache)
+
+    monkeypatch.setattr(model, "_decode_stack", recording)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["average", "weighted"])
+def test_a_dual_encoder_decodes_once_per_source_and_prefix(setup, arch_ckpts, decoder_rows, mode):
+    _, vocab, _, enc, index = setup
+    ckpts, wn = arch_ckpts
+    ckpt, sep = ckpts["dual_enc"], vocab.sep_id
+    items = [(p.source, _zs(index, p.source, 3), (BOS,) + p.target) for p in enc[6:18]]
+    batch_seq_probs(mode, ckpt, sep, items, wn)
+    assert sum(rows for rows, _ in decoder_rows) == len(items) > len(decoder_rows)
+
+    decoder_rows.clear()
+    decode(mode, ckpt, enc[6].source, index, 3, sep, weightnet=wn, max_new=6)
+    assert decoder_rows and all(rows == 1 for rows, _ in decoder_rows)
+
+    decoder_rows.clear()
+    asked = []
+    step = make_cached_step_fn(mode, ckpt, sep, enc[6].source, _zs(index, enc[6].source, 3), wn)
+    beam_decode(lambda prefixes: asked.append(len(prefixes)) or step(prefixes), 4, 6)
+    assert [rows for rows, _ in decoder_rows] == asked and max(asked) > 1
+
+
+def test_the_finetune_updates_a_row_per_source_and_scores_grouped(setup, decoder_rows):
+    task, vocab, ckpt, _, _ = setup
+    K, B = 3, 8
+    # 20 valid pairs: 18 fit, in batches of B, and 2 held out
+    finetune_weighted(ckpt, subset(task.corpus, range(20)), vocab, task.corpus, updates=2,
+                      seed=0, k=K, batch_size=B, eval_every=1)
+    assert decoder_rows == [(2, False), (B * K, True), (2, False), (B * K, True), (2, False)]

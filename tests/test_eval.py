@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rows_as_sources
 from tmlab.biasvar import decompose
 from tmlab.corpus import EOS, SEP_TOKEN, build_vocab, encode_corpus, synth_task
 from tmlab import ensemble, evalmetrics
 from tmlab.ensemble import (
     batch_seq_probs,
-    combine_rows,
     init_weightnet,
     mode_rows,
     mode_seq_probs,
@@ -18,10 +18,9 @@ from tmlab.ensemble import (
 )
 from tmlab.errors import DataError
 from tmlab.evalmetrics import BleuResult, corpus_bleu, token_ce, token_ce_from_dists
-from tmlab.model import ModelConfig, TrainConfig, forward_rows, init_params, train, Checkpoint
+from tmlab.model import ModelConfig, TrainConfig, init_params, train, Checkpoint
 from tmlab.corpus import BOS, subset
 from tmlab.retrieval import build_index, retrieve_topk
-from tmlab import autodiff as ad
 
 sentences = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=7)
 
@@ -222,7 +221,7 @@ def test_token_ce_batched_equals_per_sentence_bitwise(mixed_task, monkeypatch, a
     real_forward = ensemble.forward_rows
 
     def counted(*args, **kwargs):
-        batches.append(len(args[3]))
+        batches.append(sum(len(rows) for rows in args[4]))
         return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(ensemble, "forward_rows", counted)
@@ -242,16 +241,6 @@ def test_token_ce_batched_equals_per_sentence_bitwise(mixed_task, monkeypatch, a
         assert len(batches) > uncapped and max(batches) > R
 
 
-def _one_forward(mode, ckpt, sep, x, Z, y_in, wn):
-    """One sentence's rows in one forward: the teacher-forced path before batching."""
-    rows = mode_rows(mode, ckpt, Z, wn)
-    y = np.repeat(np.asarray([y_in], dtype=np.int64), len(rows), axis=0)
-    with ad.no_grad():
-        st = forward_rows(ckpt.params, ckpt.config, sep, [tuple(x)] * len(rows), rows, y)
-    probs, weights = combine_rows(mode, st, len(rows), wn)
-    return probs[0], weights[0]
-
-
 @pytest.mark.parametrize("arch", ["dual_enc", "single_enc"])
 def test_weighted_seq_probs_and_weights_unchanged_bitwise(mixed_task, arch):
     test, vocab, index, ckpts, wn = mixed_task
@@ -261,7 +250,7 @@ def test_weighted_seq_probs_and_weights_unchanged_bitwise(mixed_task, arch):
     batched = batch_seq_probs("weighted", ckpt, sep, items, wn)
     for (x, Z, y_in), (bp, bw) in zip(items, batched):
         probs, weights = batch_seq_probs("weighted", ckpt, sep, [(x, Z, y_in)], wn)[0]
-        ref_p, ref_w = _one_forward("weighted", ckpt, sep, x, Z, y_in, wn)
+        ref_p, ref_w = rows_as_sources("weighted", ckpt, sep, x, Z, y_in, wn)
         for got in ((probs, weights), (bp, bw)):
             np.testing.assert_array_equal(got[0], ref_p)
             np.testing.assert_array_equal(got[1], ref_w)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import check_gradients
 from tmlab import autodiff as ad
@@ -16,6 +20,7 @@ from tmlab.corpus import (
 from tmlab.errors import DataError, NumericError
 from tmlab.model import (
     Checkpoint,
+    MemoryBatch,
     ModelConfig,
     TrainConfig,
     build_concat_source,
@@ -113,6 +118,66 @@ def test_dual_encode_memory_counts():
 
     empty = build_memory_batch([[]], sep_id=4, max_len=32)
     assert empty.empty and not empty.has_tm[0]
+
+
+def loop_memory_batch(tm_lists, sep_id, max_len):
+    """`build_memory_batch` as it was written with one item assignment per pooled slot."""
+    B = len(tm_lists)
+    seqs, per_ex = [], []
+    for tms in tm_lists:
+        slots = []
+        for src, tgt in tms:
+            seq = tuple(src) + (sep_id,) + tuple(tgt)
+            if len(seq) > max_len:
+                raise DataError(f"TM sequence length {len(seq)} exceeds max_len {max_len}")
+            si = len(seqs)
+            seqs.append(seq)
+            for j, tok in enumerate(src):
+                slots.append((si, j, tok, False))
+            for j, tok in enumerate(tgt):
+                slots.append((si, len(src) + 1 + j, tok, True))
+        per_ex.append(slots)
+    M = max(max((len(s) for s in per_ex), default=0), 1)
+    L = max((len(s) for s in seqs), default=1)
+    seq_ids = np.full((len(seqs), L), PAD, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        seq_ids[i, : len(s)] = s
+    pool_seq = np.zeros((B, M), dtype=np.int64)
+    pool_pos = np.zeros((B, M), dtype=np.int64)
+    pool_tok = np.zeros((B, M), dtype=np.int64)
+    pool_valid = np.zeros((B, M), dtype=bool)
+    pool_is_tgt = np.zeros((B, M), dtype=bool)
+    for b, slots in enumerate(per_ex):
+        for m, (si, pos, tok, is_tgt) in enumerate(slots):
+            pool_seq[b, m] = si
+            pool_pos[b, m] = pos
+            pool_tok[b, m] = tok
+            pool_valid[b, m] = True
+            pool_is_tgt[b, m] = is_tgt
+    return MemoryBatch(seq_ids=seq_ids, pool_seq=pool_seq, pool_pos=pool_pos, pool_tok=pool_tok,
+                       pool_valid=pool_valid, pool_is_tgt=pool_is_tgt,
+                       has_tm=np.asarray([len(s) > 0 for s in per_ex], dtype=bool))
+
+
+_side = st.lists(st.integers(5, 30), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tm_lists=st.lists(st.lists(st.tuples(_side, _side), max_size=4), max_size=6),
+       max_len=st.integers(1, 14))
+def test_memory_batch_is_the_slot_by_slot_loop(tm_lists, max_len):
+    """Rows without TMs and rows with several, empty sides and TMs too long for max_len."""
+    try:
+        want = loop_memory_batch(tm_lists, 4, max_len)
+    except DataError as e:
+        with pytest.raises(DataError, match=f"^{e}$"):
+            build_memory_batch(tm_lists, 4, max_len)
+        return
+    got = build_memory_batch(tm_lists, 4, max_len)
+    for f in dataclasses.fields(MemoryBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
 def test_dual_memory_deterministic():
@@ -308,10 +373,12 @@ def test_forward_rows_rejects_empty_source_and_vanilla_tms():
     params = init_params(tiny_cfg(arch="dual_enc"), seed=0)
     y = np.asarray([[BOS, 7], [BOS, 7]])
     with pytest.raises(DataError, match="empty source"):
-        forward_rows(params, tiny_cfg(arch="dual_enc"), 4, [(5, 6), ()], [[], []], y)
+        forward_rows(params, tiny_cfg(arch="dual_enc"), 4, [(5, 6), ()], [[[]], [[]]], y)
+    with pytest.raises(DataError, match="same number of rows"):
+        forward_rows(params, tiny_cfg(arch="dual_enc"), 4, [(5, 6), (7,)], [[[]], [[], []]], y)
     van = tiny_cfg(arch="vanilla")
     with pytest.raises(DataError, match="vanilla"):
-        forward_rows(init_params(van, seed=0), van, None, [(5,), (6,)], [[], [((5,), (7,))]], y)
+        forward_rows(init_params(van, seed=0), van, None, [(5,), (6,)], [[[]], [[((5,), (7,))]]], y)
 
 
 def test_train_single_multi_epoch_size():

@@ -5,7 +5,11 @@ install time, rather than in a traced benchmark run."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import tmlab.cli  # noqa: F401 - imports every tmlab module whose names the tracer may patch
+from tmlab import autodiff as ad
+from tmlab import model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -26,3 +30,26 @@ def test_the_tracer_patches_its_names_and_restores_every_one():
         tracer.uninstall()
     for n, m in modules.items():
         assert [k for k, v in before[n].items() if vars(m).get(k) is not v] == [], n
+
+
+def test_the_tracer_counts_a_grouped_dual_forward():
+    """The tracer reads forward_dual's y_in and dual_encode_memory's mem by
+    position: two sources with three TM rows each decode 2 rows and encode
+    the memory of all six."""
+    cfg = model.ModelConfig(vocab_size=20, d_model=8, n_heads=2, ffn_dim=8, n_src_layers=1,
+                            n_mem_layers=1, n_dec_layers=1, arch="dual_enc")
+    params = model.init_params(cfg, seed=0)
+    row_tms = [[[((5, 6), (7,))], [((8,), (9, 10))], [((11, 12, 13), (14,))]],
+               [[((6,), (7,))], [], [((5,), (6, 7)), ((8,), (9,))]]]
+    y_in = np.asarray([[1, 7, 9, 10], [1, 6, 6, 0]])
+    mem = model.build_memory_batch([tms for rows in row_tms for tms in rows], 4, cfg.max_len)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with ad.no_grad():
+            model.forward_rows(params, cfg, 4, [(5, 6, 7), (8, 9)], row_tms, y_in)
+        counts = tracer.stats.count
+        assert counts["model.decoder_positions"] == y_in.size
+        assert counts["model.memory_tokens_encoded"] == mem.seq_ids.size
+    finally:
+        tracer.uninstall()
