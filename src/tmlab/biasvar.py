@@ -20,7 +20,6 @@ bias^2 values are flagged, never clipped.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,20 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from tmlab.corpus import BOS, EOS, ParallelCorpus, SEP_TOKEN, Vocab, build_vocab, encode_corpus, split_equal
-from tmlab.ensemble import LOGP_FLOOR, batch_seq_probs, mode_tms, train_family
+from tmlab.ensemble import FINETUNE_MIN_PAIRS, LOGP_FLOOR, batch_seq_probs, mode_tms, train_family
 from tmlab.errors import DataError
 from tmlab.evalmetrics import token_ce_from_dists
 from tmlab.model import ModelConfig, TrainConfig
 from tmlab.retrieval import build_index
 from tmlab.seeding import subseed, substream
-
-
-def worker_count() -> int:
-    """Parallel worker cap from TMLAB_THREADS (default: serial)."""
-    try:
-        return max(1, int(os.environ.get("TMLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # Variance / squared-bias magnitudes observed when this family of models is
@@ -191,18 +182,14 @@ def decompose(dists_by_model: Sequence[np.ndarray], golds: np.ndarray,
     )
 
 
-def _run_split_unit(payload: dict) -> dict[str, np.ndarray]:
-    """Train and evaluate one (split, repetition) unit; returns per-mode dists."""
-    modes: Sequence[str] = payload["modes"]
-    split_corpus: ParallelCorpus = payload["split"]
-    vocab: Vocab = payload["vocab"]
-    enc_test: ParallelCorpus = payload["enc_test"]
-    tc: TrainConfig = payload["train_cfg"]
-    if payload["verbose"]:
-        print(f"[biasvar] unit {payload['tag']}: training on {len(split_corpus)} pairs",
-              file=sys.stderr)
-
-    index = build_index(encode_corpus(split_corpus, vocab))
+def _run_split_unit(modes: Sequence[str], split: ParallelCorpus, vocab: Vocab, enc_test: ParallelCorpus,
+                    valid: ParallelCorpus | None, config: ModelConfig | None, tc: TrainConfig,
+                    seed: int, finetune_updates: int, tag: str | None) -> dict[str, np.ndarray]:
+    """Train and evaluate one (split, repetition) unit, announcing `tag` on
+    stderr unless it is None; returns per-mode dists."""
+    if tag is not None:
+        print(f"[biasvar] unit {tag}: training on {len(split)} pairs", file=sys.stderr)
+    index = build_index(encode_corpus(split, vocab))
     # every mode but vanilla reads these top-k TMs; vanilla's rows ignore them
     retrieved = [mode_tms("base", index, p.source, tc.k_retrieval) for p in enc_test]
 
@@ -210,10 +197,9 @@ def _run_split_unit(payload: dict) -> dict[str, np.ndarray]:
         # single_multi presents each pair k+1 times per epoch; scale the
         # other modes so every model sees the same optimizer-step budget
         passes = 1 if train_mode == "single_multi" else tc.k_retrieval + 1
-        return "dual_enc", payload["config"], dataclasses.replace(tc, epochs=tc.epochs * passes)
+        return "dual_enc", config, dataclasses.replace(tc, epochs=tc.epochs * passes)
 
-    family = train_family(modes, split_corpus, vocab, recipe, payload["sub_seed"],
-                          payload["valid"], payload["finetune_updates"])
+    family = train_family(modes, split, vocab, recipe, seed, valid, finetune_updates)
     items = [(p.source, Z, (BOS,) + p.target) for p, Z in zip(enc_test, retrieved)]
     out: dict[str, np.ndarray] = {}
     for mode in modes:
@@ -246,38 +232,25 @@ def estimate_bias_variance(
     sees exactly the fluctuation a different training sample would
     induce. Every model variant receives the same optimizer-step budget,
     compensating for the k+1 presentation passes of single-TM training.
-    Units run in parallel when TMLAB_THREADS > 1; results merge in split
-    order either way.
+    Units run one after another, split by split.
     """
     if k_splits > len(corpus):
         raise DataError(f"cannot split {len(corpus)} pairs into {k_splits} parts")
     if "weighted" in modes and valid_corpus is None:
         raise DataError("the weighted mode needs a valid_corpus for fine-tuning")
+    if "weighted" in modes and len(valid_corpus) < FINETUNE_MIN_PAIRS:
+        raise DataError(f"valid corpus has {len(valid_corpus)} pairs; the weighted fine-tune "
+                        f"needs at least {FINETUNE_MIN_PAIRS}")
 
     vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     enc_test = encode_corpus(test_pairs, vocab)
     golds = np.concatenate([np.asarray(p.target + (EOS,), dtype=np.int64) for p in enc_test])
     splits = split_equal(corpus, k_splits, seed)
 
-    units = []
-    for i in range(k_splits):
-        for j in range(n_per_split):
-            sub = subseed(seed, f"split{i}", f"rep{j}")
-            units.append({
-                "modes": tuple(modes), "split": splits[i], "vocab": vocab,
-                "enc_test": enc_test, "valid": valid_corpus, "config": config,
-                "train_cfg": train_cfg, "sub_seed": sub, "tag": f"{i}.{j}",
-                "finetune_updates": finetune_updates, "verbose": verbose,
-            })
-    workers = min(worker_count(), len(units))
-    if workers > 1:
-        # imported here: the pool's modules cost every other process start-up time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_split_unit, units))
-    else:
-        results = [_run_split_unit(u) for u in units]
+    results = [_run_split_unit(modes, splits[i], vocab, enc_test, valid_corpus, config, train_cfg,
+                               subseed(seed, f"split{i}", f"rep{j}"), finetune_updates,
+                               f"{i}.{j}" if verbose else None)
+               for i in range(k_splits) for j in range(n_per_split)]
 
     entries = []
     for mode in modes:

@@ -56,23 +56,24 @@ def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
 
 
 def _model_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4, dest="n_heads")
-    p.add_argument("--ffn", type=int, default=128, dest="ffn_dim")
-    p.add_argument("--src-layers", type=int, default=2, dest="n_src_layers")
-    p.add_argument("--mem-layers", type=int, default=2, dest="n_mem_layers")
-    p.add_argument("--dec-layers", type=int, default=2, dest="n_dec_layers")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--heads", type=int, default=ModelConfig.n_heads, dest="n_heads")
+    p.add_argument("--ffn", type=int, default=ModelConfig.ffn_dim, dest="ffn_dim")
+    p.add_argument("--src-layers", type=int, default=ModelConfig.n_src_layers, dest="n_src_layers")
+    p.add_argument("--mem-layers", type=int, default=ModelConfig.n_mem_layers, dest="n_mem_layers")
+    p.add_argument("--dec-layers", type=int, default=ModelConfig.n_dec_layers, dest="n_dec_layers")
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
 
 
 def _train_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=7e-4, dest="base_lr")
-    p.add_argument("--warmup", type=int, default=200)
-    p.add_argument("--smoothing", type=float, default=0.1, dest="label_smoothing")
-    p.add_argument("--topk", type=int, default=5, dest="k_retrieval")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.base_lr, dest="base_lr")
+    p.add_argument("--warmup", type=int, default=TrainConfig.warmup)
+    p.add_argument("--smoothing", type=float, default=TrainConfig.label_smoothing,
+                   dest="label_smoothing")
+    p.add_argument("--topk", type=int, default=TrainConfig.k_retrieval, dest="k_retrieval")
 
 
 def build_parser() -> _Parser:
@@ -147,7 +148,7 @@ def build_parser() -> _Parser:
     # translate ----------------------------------------------------------------
     tr = sub.add_parser("translate", help="decode sentences")
     tr.add_argument("--mode", choices=PREDICT_MODES, default="single")
-    tr.add_argument("--topk", type=int, default=5)
+    tr.add_argument("--topk", type=int, help="TMs per query (default: the checkpoint's k)")
     tr.add_argument("--beam", type=int, default=1, help="beam width; 1 decodes greedily")
     tr.add_argument("--index", help="retrieval index (required unless --mode vanilla)")
     tr.add_argument("--ckpt", required=True)
@@ -169,7 +170,7 @@ def build_parser() -> _Parser:
     e_ppl.add_argument("--tsv", required=True)
     e_ppl.add_argument("--mode", choices=PREDICT_MODES, default="vanilla")
     e_ppl.add_argument("--index")
-    e_ppl.add_argument("--topk", type=int, default=5)
+    e_ppl.add_argument("--topk", type=int, help="TMs per query (default: the checkpoint's k)")
     e_ppl.add_argument("--weightnet")
     e_ppl.add_argument("--json-lines", action="store_true")
 
@@ -296,7 +297,8 @@ def _cmd_finetune_weight(a) -> str:
 
 
 def _load_model(a):
-    """The vocab, checkpoint, retrieval index and weightnet that `--mode` reads."""
+    """The vocab, checkpoint, retrieval index and weightnet that `--mode` reads,
+    and the TMs per query: `--topk`, or else the checkpoint's k."""
     if a.mode != "vanilla" and not a.index:
         raise UsageError(f"--mode {a.mode} needs --index")
     if a.mode == "weighted" and not a.weightnet:
@@ -305,16 +307,16 @@ def _load_model(a):
     ckpt = load_checkpoint(a.ckpt, vocab)
     index = load_index(a.index, vocab) if a.index else None
     wn = load_weightnet(a.weightnet, vocab)[0] if a.mode == "weighted" else None
-    return vocab, ckpt, index, wn
+    k = ckpt.trained("k_retrieval") if a.topk is None else a.topk
+    return vocab, ckpt, index, wn, k
 
 
 def _cmd_translate(a) -> str:
-    vocab, ckpt, index, wn = _load_model(a)
+    vocab, ckpt, index, wn, k = _load_model(a)
     sources = [vocab.encode(tokenize(line))
                for line in Path(a.input).read_text(encoding="utf-8").splitlines()]
     out_lines = [" ".join(vocab.decode(toks)) + (f"\t{score:.6f}" if a.scores else "")
-                 for toks, score in decode_all(a.mode, ckpt, sources, vocab, index, a.topk,
-                                               a.beam, wn)]
+                 for toks, score in decode_all(a.mode, ckpt, sources, vocab, index, k, a.beam, wn)]
     atomic_write_text(a.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     print(f"translated {len(out_lines)} lines to {a.out}")
     return a.out
@@ -337,9 +339,9 @@ def _cmd_eval(a) -> None:
             print(f"BLEU = {r.score:.2f}  ({ps}, BP={r.brevity_penalty:.4f}, "
                   f"hyp_len={r.hyp_len}, ref_len={r.ref_len})")
     else:  # ppl
-        vocab, ckpt, index, wn = _load_model(a)
-        nats, ppl = token_ce(ckpt, load_tsv(a.tsv), vocab, mode=a.mode, index=index,
-                             k=a.topk, weightnet=wn)
+        vocab, ckpt, index, wn, k = _load_model(a)
+        nats, ppl = token_ce(ckpt, load_tsv(a.tsv), vocab, mode=a.mode, index=index, k=k,
+                             weightnet=wn)
         if a.json_lines:
             print(json.dumps({"nats_per_token": round(nats, 6), "ppl": round(ppl, 6)},
                              sort_keys=True))

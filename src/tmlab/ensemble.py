@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -57,6 +57,9 @@ TmIds = tuple[tuple[int, ...], tuple[int, ...]]  # (source ids, target ids)
 
 # The weighted fine-tune's learning rate, constant over its updates.
 FINETUNE_LR = 2e-4
+# The fewest valid pairs the fine-tune takes: it fits on 90% of them and
+# selects its checkpoint on the rest, which must not be empty.
+FINETUNE_MIN_PAIRS = 10
 
 # The floor under a probability before its log, wherever a sequence or a
 # test set is scored, so that an exact zero costs a finite amount.
@@ -298,12 +301,14 @@ def finetune_weighted(
     The remaining 10% selects the checkpoint: the parameters minimizing
     held-out loss over the recorded curve (update 0 included) win. Labels
     are smoothed as the backbone's training smoothed them, and `k` defaults
-    to its training's; a backbone that records neither takes `TrainConfig`'s.
+    to its training's (`Checkpoint.trained`). The fine-tuned checkpoint
+    records the `k` it mixed as its `k_retrieval`.
     """
-    backbone = {**asdict(TrainConfig()), **ckpt.meta}
-    k = backbone["k_retrieval"] if k is None else k
-    if len(valid_corpus) < 10:
-        raise DataError(f"valid corpus has {len(valid_corpus)} pairs; need at least 10")
+    k = ckpt.trained("k_retrieval") if k is None else k
+    smoothing = ckpt.trained("label_smoothing")
+    if len(valid_corpus) < FINETUNE_MIN_PAIRS:
+        raise DataError(f"valid corpus has {len(valid_corpus)} pairs; the weighted fine-tune "
+                        f"needs at least {FINETUNE_MIN_PAIRS}")
     if ckpt.config.arch not in ("dual_enc", "single_enc"):
         raise DataError("weighted ensemble needs a TM-capable checkpoint")
     if k < 1:
@@ -322,7 +327,7 @@ def finetune_weighted(
     perm = substream(seed, "valid_split").permutation(len(enc_valid))
     n_fit = max(1, int(round(0.9 * len(enc_valid))))
     fit_ids = perm[:n_fit]
-    held_ids = perm[n_fit:]            # not empty: there are at least 10 pairs
+    held_ids = perm[n_fit:]            # not empty: there are at least FINETUNE_MIN_PAIRS
 
     tms = {int(i): mode_tms("weighted", index, enc_valid[int(i)].source, k) for i in perm}
     wn = init_weightnet(cfg.d_model, seed)
@@ -347,7 +352,7 @@ def finetune_weighted(
         p = ad.reshape(st.p, (B, R, T, cfg.vocab_size))[:, :K]
         mixed = ad.tsum(ad.mul(ad.reshape(ad.permute(w, (0, 2, 1)), (B, K, T, 1)), p), axis=1)
         y_out = _pad_batch([r.target + (EOS,) for r in pairs])
-        return ad.nll_from_probs(mixed, y_out, backbone["label_smoothing"], PAD)
+        return ad.nll_from_probs(mixed, y_out, smoothing, PAD)
 
     def heldout_loss() -> float:
         # per target token over the whole held-out split, as `token_ce` counts
@@ -377,7 +382,7 @@ def finetune_weighted(
     for kk, p in all_params.items():
         p.data = best[2][kk]
     meta = dict(ckpt.meta)
-    meta.update({"finetuned_updates": updates, "finetune_seed": seed,
+    meta.update({"k_retrieval": k, "finetuned_updates": updates, "finetune_seed": seed,
                  "selected_update": best[1]})
     return FinetuneResult(
         checkpoint=Checkpoint(params=ckpt.params, config=cfg, meta=meta),

@@ -31,7 +31,7 @@ from tmlab.corpus import (
     subset,
     synth_task,
 )
-from tmlab.ensemble import BACKBONE, PREDICT_MODES, Family, decode_all, train_family
+from tmlab.ensemble import BACKBONE, FINETUNE_MIN_PAIRS, PREDICT_MODES, Family, decode_all, train_family
 from tmlab.errors import DataError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.fileio import atomic_write_text
@@ -69,21 +69,21 @@ class ExperimentConfig:
     synth_lexicon: int = 40
     n_valid: int = 100
     n_test: int = 60
-    d_model: int = 64
-    n_heads: int = 4
-    ffn_dim: int = 128
-    n_src_layers: int = 2
-    n_mem_layers: int = 2
-    n_dec_layers: int = 2
-    dropout: float = 0.1
-    max_len: int = 64
-    epochs: int = 12
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    ffn_dim: int = ModelConfig.ffn_dim
+    n_src_layers: int = ModelConfig.n_src_layers
+    n_mem_layers: int = ModelConfig.n_mem_layers
+    n_dec_layers: int = ModelConfig.n_dec_layers
+    dropout: float = ModelConfig.dropout
+    max_len: int = ModelConfig.max_len
+    epochs: int = 12                   # the scenarios' own, not TrainConfig's
     tm_epochs: int = 5
-    batch_size: int = 64
-    base_lr: float = 2e-3
-    warmup: int = 200
-    label_smoothing: float = 0.1
-    topk: int = 5
+    batch_size: int = TrainConfig.batch_size
+    base_lr: float = 2e-3              # the scenarios' own, not TrainConfig's
+    warmup: int = TrainConfig.warmup
+    label_smoothing: float = TrainConfig.label_smoothing
+    topk: int = TrainConfig.k_retrieval
     finetune_updates: int = 200
     beam: int = 1                      # 1 decodes greedily
     modes: tuple[str, ...] = PREDICT_MODES
@@ -94,6 +94,13 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in PREDICT_MODES:
                 raise UsageError(f"unknown mode '{m}'")
+        if self.n_test < 1:
+            raise DataError(f"n_test must be >= 1, got {self.n_test}")
+        if self.n_valid < 0:
+            raise DataError(f"n_valid must be >= 0, got {self.n_valid}")
+        if "weighted" in self.modes and self.n_valid < FINETUNE_MIN_PAIRS:
+            raise DataError(f"n_valid {self.n_valid} is too few for the weighted fine-tune, "
+                            f"which needs at least {FINETUNE_MIN_PAIRS} pairs")
         # build every config the recipe will, so that a setting no model can
         # train with is refused before anything is written; the vocab size is
         # known only once the data is, and has no range to check

@@ -96,6 +96,10 @@ class TrainConfig:
             raise DataError("epochs, batch_size and warmup must all be >= 1")
         if not self.base_lr > 0:
             raise DataError(f"the learning rate must be > 0, got {self.base_lr}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise DataError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
+        if self.k_retrieval < 1:
+            raise DataError(f"k_retrieval must be >= 1, got {self.k_retrieval}")
 
     @classmethod
     def from_attrs(cls, obj, **given) -> "TrainConfig":
@@ -566,6 +570,10 @@ class Checkpoint:
     params: dict[str, ad.Tensor]
     config: ModelConfig
     meta: dict
+
+    def trained(self, name: str):
+        """The training setting `name` this checkpoint records, else `TrainConfig`'s."""
+        return self.meta.get(name, getattr(TrainConfig, name))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

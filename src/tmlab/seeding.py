@@ -19,7 +19,8 @@ def substream(seed: int, *names: str) -> np.random.Generator:
 
 
 def subseed(seed: int, *names: str) -> int:
-    """Derive a child integer seed (for passing across process boundaries)."""
+    """Derive a child integer seed, for a component that takes a seed rather
+    than a generator (each of the bias-variance estimator's split units)."""
     h = int(seed) & 0xFFFFFFFF
     for n in names:
         h = zlib.crc32(n.encode("utf-8"), h)

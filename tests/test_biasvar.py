@@ -1,9 +1,4 @@
-import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,10 +206,7 @@ def test_estimator_dists_equal_the_per_sentence_loop_bitwise(monkeypatch):
     family = Family(ckpts, FinetuneResult(ckpts["single_multi"], wn, [], 0))
     monkeypatch.setattr(biasvar, "train_family", lambda *args: family)
     tc = TrainConfig(k_retrieval=3)
-    out = biasvar._run_split_unit({
-        "modes": PREDICT_MODES, "split": split, "vocab": vocab, "enc_test": enc_test,
-        "train_cfg": tc, "verbose": False, "config": cfg, "sub_seed": 0, "valid": None,
-        "finetune_updates": 0})
+    out = biasvar._run_split_unit(PREDICT_MODES, split, vocab, enc_test, None, cfg, tc, 0, 0, None)
     index = build_index(encode_corpus(split, vocab))
     for mode in PREDICT_MODES:
         ckpt, w = family.member(mode)
@@ -224,33 +216,6 @@ def test_estimator_dists_equal_the_per_sentence_loop_bitwise(monkeypatch):
                            (BOS,) + p.target, weightnet=w)
             for p in enc_test])
         np.testing.assert_array_equal(out[mode], want)
-
-
-def test_parallel_estimator_equals_serial(monkeypatch):
-    task = synth_task(n_pairs=40, n_templates=3, lexicon_size=6, seed=2)
-    corpus = subset(task.corpus, range(32))
-    test_pairs = subset(task.corpus, range(32, 35))
-    cfg = ModelConfig(vocab_size=0, arch="dual_enc", **TINY)
-    tc = TrainConfig(epochs=1, batch_size=16, base_lr=2e-3, warmup=5, k_retrieval=2)
-
-    def report():
-        rep = estimate_bias_variance(["vanilla", "base"], corpus, test_pairs, config=cfg,
-                                     train_cfg=tc, k_splits=2, seed=1)
-        return [dataclasses.astuple(e) for e in rep.entries]
-
-    monkeypatch.setenv("TMLAB_THREADS", "1")
-    serial = report()
-    monkeypatch.setenv("TMLAB_THREADS", "2")
-    assert report() == serial
-
-
-def test_import_leaves_the_process_pool_unloaded():
-    code = ("import sys, tmlab.biasvar, tmlab.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_estimate_bias_variance_validates():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -6,10 +7,13 @@ from pathlib import Path
 import pytest
 
 from tmlab import autodiff as ad
-from tmlab.cli import main
+from tmlab import cli, ensemble, model
+from tmlab.cli import build_parser, main
 from tmlab.corpus import SEP_TOKEN, Vocab, build_vocab, load_tsv
 from tmlab.ensemble import finetune_weighted, init_weightnet, save_weightnet
-from tmlab.model import load_checkpoint
+from tmlab.experiments import ExperimentConfig
+from tmlab.model import ModelConfig, TrainConfig, load_checkpoint
+from tmlab.retrieval import retrieve_topk
 
 
 @pytest.fixture()
@@ -20,6 +24,16 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+@pytest.fixture()
+def no_training(monkeypatch):
+    """Fail the test at any call of `model.train`, under every name it is imported as."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("model.train was called")
+
+    for module in (cli, ensemble, model):
+        monkeypatch.setattr(module, "train", refuse)
 
 
 def test_usage_errors_exit_1(workdir, capsys):
@@ -303,6 +317,44 @@ def test_a_mode_without_its_model_input_is_a_usage_error(base_model, monkeypatch
     assert capsys.readouterr().err == f"usage error: --mode {mode} needs {missing}\n"
 
 
+@pytest.mark.parametrize("command", [["translate", "--input", "in.txt", "--out", "h.txt"],
+                                     ["eval", "ppl", "--tsv", "c.tsv"]],
+                         ids=["translate", "eval-ppl"])
+def test_decoding_without_topk_reads_the_checkpoints_k(base_model, monkeypatch, command):
+    # base_model trained on 2 joint TMs, not TrainConfig's 5
+    monkeypatch.chdir(base_model)
+    Path("in.txt").write_text("s1 s2\n", encoding="utf-8")
+    ks = []
+
+    def spy(index, x, k, *args, **kwargs):
+        ks.append(k)
+        return retrieve_topk(index, x, k, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "retrieve_topk", spy)
+    assert run(*command, "--mode", "base", "--index", "c.idx", "--ckpt", "m.ckpt",
+               "--vocab", "m.ckpt.vocab") == 0
+    assert ks and set(ks) == {2}
+
+
+def test_parsed_defaults_are_the_config_dataclasses(workdir):
+    parser = build_parser()
+    for argv in (["train", "--tsv", "c.tsv", "--out", "m.ckpt"],
+                 ["biasvar", "--tsv", "c.tsv", "--test-tsv", "c.tsv", "--out-csv", "bv.csv"]):
+        a = parser.parse_args(argv)
+        arch = getattr(a, "arch", "dual_enc")
+        assert ModelConfig.from_attrs(a, 7, arch) == ModelConfig(vocab_size=7, arch=arch)
+        assert TrainConfig.from_attrs(a) == TrainConfig()
+    # a scenario trains with its own epochs and learning rate, and every other setting's default
+    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    shared = {**{f.name: f.default for f in dataclasses.fields(ModelConfig)
+                 if f.name not in ("vocab_size", "arch")},
+              **{f.name: f.default for f in dataclasses.fields(TrainConfig)
+                 if f.name not in ("epochs", "base_lr", "k_retrieval")},
+              "topk": TrainConfig().k_retrieval}
+    assert len(shared) == 12
+    assert {name: experiment[name] for name in shared} == shared
+
+
 def test_finetune_weight_cli(workdir):
     run("corpus", "synth", "--pairs", "60", "--templates", "3", "--lexicon", "8",
         "--seed", "4", "--out", "c.tsv")
@@ -419,8 +471,17 @@ def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
     pytest.param([], {"batch_size": 0}, "epochs, batch_size and warmup", id="batch-size-0"),
     pytest.param([], {"dropout": 1.0}, "dropout must be in [0, 1)", id="dropout-1"),
     pytest.param([], {"base_lr": -1}, "learning rate must be > 0", id="negative-lr"),
+    pytest.param(["--topk", "0"], {}, "k_retrieval must be >= 1, got 0", id="topk-0"),
+    pytest.param([], {"label_smoothing": 1.0}, "label smoothing must be in [0, 1)",
+                 id="smoothing-1"),
+    pytest.param([], {"n_test": 0}, "n_test must be >= 1, got 0", id="n-test-0"),
+    pytest.param([], {"n_valid": -5, "n_test": 20}, "n_valid must be >= 0, got -5",
+                 id="negative-n-valid"),
+    pytest.param([], {"n_valid": 9}, "n_valid 9 is too few for the weighted fine-tune",
+                 id="n-valid-below-the-finetune"),
 ])
-def test_an_experiment_setting_that_cannot_train_exits_2_before_writing(workdir, capsys, flags,
+def test_an_experiment_setting_that_cannot_train_exits_2_before_writing(workdir, capsys,
+                                                                        no_training, flags,
                                                                         config, reason):
     Path("cfg.json").write_text(json.dumps(config), encoding="utf-8")
     assert run("experiment", "low-resource", "--out-dir", "x", "--config", "cfg.json",
@@ -437,12 +498,18 @@ def test_an_experiment_setting_that_cannot_train_exits_2_before_writing(workdir,
     pytest.param(["--dropout", "1.0"], "dropout must be in [0, 1)", id="dropout-1"),
     pytest.param(["--dropout", "-0.5"], "dropout must be in [0, 1)", id="negative-dropout"),
     pytest.param(["--lr", "-1"], "learning rate must be > 0", id="negative-lr"),
+    pytest.param(["--topk", "0"], "k_retrieval must be >= 1, got 0", id="topk-0"),
+    pytest.param(["--smoothing", "1.0"], "label smoothing must be in [0, 1)", id="smoothing-1"),
+    pytest.param(["--smoothing", "-0.1"], "label smoothing must be in [0, 1)",
+                 id="negative-smoothing"),
 ])
 @pytest.mark.parametrize("command", [
     ["train", "--arch", "vanilla", "--out", "m.ckpt"],
+    ["train", "--arch", "dual_enc", "--mode", "topk", "--out", "m.ckpt"],
     ["biasvar", "--test-tsv", "c.tsv", "--out-csv", "m.ckpt"],
-], ids=["train", "biasvar"])
-def test_a_training_setting_that_cannot_train_exits_2(workdir, capsys, command, flags, reason):
+], ids=["train", "train-tm", "biasvar"])
+def test_a_training_setting_that_cannot_train_exits_2(workdir, capsys, no_training, command, flags,
+                                                      reason):
     run("corpus", "synth", "--pairs", "20", "--templates", "2", "--lexicon", "5",
         "--seed", "0", "--out", "c.tsv")
     capsys.readouterr()
@@ -450,6 +517,30 @@ def test_a_training_setting_that_cannot_train_exits_2(workdir, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and reason in err and err.count("\n") == 1
     assert not Path("m.ckpt").exists()
+
+
+def test_biasvar_refuses_a_valid_corpus_too_small_to_finetune_before_training(workdir, capsys,
+                                                                             no_training):
+    run("corpus", "synth", "--pairs", "29", "--templates", "2", "--lexicon", "5",
+        "--seed", "0", "--out", "c.tsv")
+    Path("valid.tsv").write_text("".join(Path("c.tsv").read_text(encoding="utf-8")
+                                         .splitlines(keepends=True)[:9]), encoding="utf-8")
+    capsys.readouterr()
+    assert run("biasvar", "--tsv", "c.tsv", "--test-tsv", "c.tsv", "--valid-tsv", "valid.tsv",
+               "--models", "vanilla,weighted", "--splits", "2", "--out-csv", "bv.csv",
+               "--quiet", *TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: valid corpus has 9 pairs; the weighted fine-tune needs at least 10\n"
+    assert not Path("bv.csv").exists()
+
+
+def test_an_experiment_without_weighted_takes_no_valid_pairs(workdir, no_training):
+    # n_valid 0 is refused only when the weighted fine-tune would need the pairs:
+    # here the run gets as far as training
+    Path("cfg.json").write_text('{"n_valid": 0}', encoding="utf-8")
+    with pytest.raises(AssertionError, match="model.train was called"):
+        run("experiment", "low-resource", "--out-dir", "x", "--pairs", "120", "--templates", "4",
+            "--lexicon", "6", "--modes", "vanilla,base", "--quiet", "--config", "cfg.json")
 
 
 def test_biasvar_unknown_model_exits_1(workdir, capsys):

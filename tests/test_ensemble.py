@@ -278,6 +278,16 @@ def test_finetune_zero_updates_is_average(setup):
     np.testing.assert_array_equal(w, a)
 
 
+def test_the_finetuned_checkpoint_records_the_k_it_mixed(setup):
+    task, vocab, ckpt, _, _ = setup
+    valid_c = subset(task.corpus, range(20))
+    assert ckpt.trained("k_retrieval") == TrainConfig().k_retrieval    # the backbone records none
+    ft = finetune_weighted(ckpt, valid_c, vocab, task.corpus, updates=0, seed=0, k=2)
+    assert ft.checkpoint.meta["k_retrieval"] == ft.checkpoint.trained("k_retrieval") == 2
+    again = finetune_weighted(ft.checkpoint, valid_c, vocab, task.corpus, updates=0, seed=0)
+    assert again.checkpoint.trained("k_retrieval") == 2 and "k_retrieval" not in ckpt.meta
+
+
 # ---------------------------------------------------------------------------
 # Model family
 # ---------------------------------------------------------------------------
