@@ -265,7 +265,18 @@ def _matmul_data(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matmul_vjp(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of a @ b for the output gradient g."""
+    """The gradients of a @ b for the output gradient g.
+
+    With a 2-D b and a batched a, the batch axes are flattened: the input
+    gradient is one (N, Dout) @ b.T and the weight gradient one
+    (Din, N) @ (N, Dout) GEMM over all N rows, in place of one product
+    per batch item and a sum. This is not bitwise the per-item form: the
+    weight gradient rounds differently in float32 (about 1e-6 of its
+    largest entry), so trained parameters move by rounding only.
+    """
+    if b.ndim == 2 and a.ndim > 2:
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ b.T).reshape(a.shape), a.reshape(-1, a.shape[-1]).T @ g2
     return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
             _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 

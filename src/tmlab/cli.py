@@ -32,7 +32,7 @@ from tmlab.ensemble import PREDICT_MODES, decode_all, finetune_weighted, load_we
 from tmlab.errors import DataError, NumericError, UsageError
 from tmlab.evalmetrics import corpus_bleu, token_ce
 from tmlab.experiments import ExperimentConfig, run_experiment
-from tmlab.fileio import atomic_write_text
+from tmlab.fileio import atomic_write_text, read_text
 from tmlab.model import ARCHITECTURES, TRAIN_MODES, ModelConfig, TrainConfig, train
 from tmlab.model import load_checkpoint, save_checkpoint
 from tmlab.retrieval import build_index, load_index, retrieve_topk, save_index
@@ -41,6 +41,28 @@ from tmlab.retrieval import build_index, load_index, retrieve_topk, save_index
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+
+def _at_least(low: int):
+    """An argparse `type`: an integer of at least `low`, refused at parse time."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse's "invalid int value" message names the type
+    return parse
+
+
+def _mode_list(text: str) -> tuple[str, ...]:
+    """An argparse `type`: a comma list of one or more prediction modes."""
+    modes = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not modes:
+        raise argparse.ArgumentTypeError("names no model")
+    for mode in modes:
+        if mode not in PREDICT_MODES:
+            raise argparse.ArgumentTypeError(f"unknown model '{mode}'")
+    return modes
 
 
 def _write_manifest(argv: list[str], primary_output: str | Path) -> None:
@@ -138,7 +160,7 @@ def build_parser() -> _Parser:
     fw.add_argument("--vocab", required=True)
     fw.add_argument("--valid-tsv", required=True)
     fw.add_argument("--datastore-tsv", required=True)
-    fw.add_argument("--updates", type=int, default=2000)
+    fw.add_argument("--updates", type=_at_least(0), default=2000)
     fw.add_argument("--topk", type=int, help="TMs per query (default: the checkpoint's k)")
     fw.add_argument("--seed", type=int, default=0)
     fw.add_argument("--out-ckpt", required=True)
@@ -149,7 +171,7 @@ def build_parser() -> _Parser:
     tr = sub.add_parser("translate", help="decode sentences")
     tr.add_argument("--mode", choices=PREDICT_MODES, default="single")
     tr.add_argument("--topk", type=int, help="TMs per query (default: the checkpoint's k)")
-    tr.add_argument("--beam", type=int, default=1, help="beam width; 1 decodes greedily")
+    tr.add_argument("--beam", type=_at_least(1), default=1, help="beam width; 1 decodes greedily")
     tr.add_argument("--index", help="retrieval index (required unless --mode vanilla)")
     tr.add_argument("--ckpt", required=True)
     tr.add_argument("--vocab", required=True)
@@ -179,13 +201,13 @@ def build_parser() -> _Parser:
     bv.add_argument("--tsv", required=True, help="training corpus")
     bv.add_argument("--test-tsv", required=True)
     bv.add_argument("--valid-tsv", help="needed when estimating the weighted model")
-    bv.add_argument("--models", default="vanilla,base",
+    bv.add_argument("--models", type=_mode_list, default="vanilla,base",
                     help="comma list from " + ",".join(PREDICT_MODES))
     bv.add_argument("--splits", type=int, default=4)
     bv.add_argument("--reps", type=int, default=1)
     bv.add_argument("--seed", type=int, default=0)
-    bv.add_argument("--truncate", type=int, default=100)
-    bv.add_argument("--finetune-updates", type=int, default=150)
+    bv.add_argument("--truncate", type=_at_least(1), default=100)
+    bv.add_argument("--finetune-updates", type=_at_least(0), default=150)
     bv.add_argument("--out-csv", required=True)
     bv.add_argument("--out-report", help="key/value text report path")
     bv.add_argument("--quiet", action="store_true")
@@ -204,10 +226,10 @@ def build_parser() -> _Parser:
     ex.add_argument("--corpus-tsv", dest="corpus_tsv")
     ex.add_argument("--epochs", type=int)
     ex.add_argument("--tm-epochs", type=int, dest="tm_epochs")
-    ex.add_argument("--finetune-updates", type=int, dest="finetune_updates")
+    ex.add_argument("--finetune-updates", type=_at_least(0), dest="finetune_updates")
     ex.add_argument("--topk", type=int)
-    ex.add_argument("--beam", type=int)
-    ex.add_argument("--modes", help="comma list of prediction modes")
+    ex.add_argument("--beam", type=_at_least(1))
+    ex.add_argument("--modes", type=_mode_list, help="comma list of prediction modes")
     ex.add_argument("--quiet", action="store_true")
 
     # rerun --------------------------------------------------------------------------
@@ -253,7 +275,7 @@ def _cmd_index(a) -> str:
 
 def _cmd_retrieve(a) -> str | None:
     idx = load_index(a.index)
-    lines = Path(a.queries).read_text(encoding="utf-8").splitlines()
+    lines = read_text(a.queries).splitlines()
     records = []
     for qid, line in enumerate(lines):
         q = tuple(tokenize(line))
@@ -314,7 +336,7 @@ def _load_model(a):
 def _cmd_translate(a) -> str:
     vocab, ckpt, index, wn, k = _load_model(a)
     sources = [vocab.encode(tokenize(line))
-               for line in Path(a.input).read_text(encoding="utf-8").splitlines()]
+               for line in read_text(a.input).splitlines()]
     out_lines = [" ".join(vocab.decode(toks)) + (f"\t{score:.6f}" if a.scores else "")
                  for toks, score in decode_all(a.mode, ckpt, sources, vocab, index, k, a.beam, wn)]
     atomic_write_text(a.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
@@ -324,8 +346,8 @@ def _cmd_translate(a) -> str:
 
 def _cmd_eval(a) -> None:
     if a.eval_cmd == "bleu":
-        hyps = [tokenize(l) for l in Path(a.hyp).read_text(encoding="utf-8").splitlines()]
-        refs = [tokenize(l) for l in Path(a.ref).read_text(encoding="utf-8").splitlines()]
+        hyps = [tokenize(l) for l in read_text(a.hyp).splitlines()]
+        refs = [tokenize(l) for l in read_text(a.ref).splitlines()]
         r = corpus_bleu(hyps, refs)
         if a.json_lines:
             print(json.dumps({
@@ -353,14 +375,10 @@ def _cmd_biasvar(a) -> str:
     corpus = load_tsv(a.tsv)
     test_pairs = load_tsv(a.test_tsv)
     valid = load_tsv(a.valid_tsv) if a.valid_tsv else None
-    modes = [m.strip() for m in a.models.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in PREDICT_MODES:
-            raise UsageError(f"unknown model '{mode}'")
     vocab = build_vocab(((p.source, p.target) for p in corpus), extra=(SEP_TOKEN,))
     cfg = ModelConfig.from_attrs(a, len(vocab), "dual_enc")
     report = estimate_bias_variance(
-        modes, corpus, test_pairs, valid_corpus=valid, config=cfg,
+        a.models, corpus, test_pairs, valid_corpus=valid, config=cfg,
         train_cfg=TrainConfig.from_attrs(a), k_splits=a.splits, n_per_split=a.reps,
         seed=a.seed, truncate=a.truncate, finetune_updates=a.finetune_updates,
         verbose=not a.quiet,
@@ -378,16 +396,15 @@ def _cmd_biasvar(a) -> str:
 def _cmd_experiment(a) -> Path:
     base: dict = {}
     if a.config:
+        text = read_text(a.config)
         try:
-            base = json.loads(Path(a.config).read_text(encoding="utf-8"))
+            base = json.loads(text)
         except ValueError as e:
             raise DataError(f"{a.config}: not valid JSON ({e})") from None
         if type(base) is not dict:
             raise DataError(f"{a.config}: a config must be a JSON object")
     # each flag's dest is the config key it overrides
     flags = {**vars(a), "scenario": a.scenario.replace("-", "_")}
-    if a.modes is not None:
-        flags["modes"] = tuple(m.strip() for m in a.modes.split(",") if m.strip())
     base.update((k, v) for k, v in flags.items()
                 if k in ExperimentConfig.__dataclass_fields__ and v is not None)
     if "out_dir" not in base:
@@ -403,7 +420,7 @@ def _cmd_rerun(a) -> None:
     """Run the recorded argv in the recorded directory, so that its relative
     paths mean what they meant; a manifest without one runs here."""
     try:
-        doc = json.loads(Path(a.manifest).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(a.manifest))
         argv, cwd = doc["argv"], doc.get("cwd")
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{a.manifest}: not a rerunnable manifest ({type(e).__name__}: {e})") from None
@@ -452,6 +469,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as e:
         print(f"data error: missing file {e.filename}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # a directory where a file belongs, a file it may not read or write, ...;
+        # a failed rename names its destination second
+        name = e.filename2 if e.filename2 is not None else e.filename
+        where = "" if name is None else f"{name}: "
+        print(f"data error: {where}{e.strerror or e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

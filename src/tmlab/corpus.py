@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from tmlab.errors import DataError
-from tmlab.fileio import atomic_write_text
+from tmlab.fileio import atomic_write_text, read_text
 from tmlab.seeding import substream
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -80,7 +80,7 @@ class Vocab:
 
     @staticmethod
     def load(path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if tuple(lines[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise DataError(f"{path}: reserved tokens missing or reordered")
         return Vocab(tokens=tuple(lines))
@@ -155,12 +155,8 @@ def encode_corpus(corpus: ParallelCorpus, vocab: Vocab) -> ParallelCorpus:
 
 def load_tsv(path: str | Path) -> ParallelCorpus:
     """Load "source<TAB>target" lines; the line number becomes the pair_id."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8 ({e})") from e
     items = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         cols = line.split("\t")
         if len(cols) != 2:
             raise DataError(f"{path}: line {lineno}: expected exactly one TAB")

@@ -91,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise UsageError(f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}")
+        if not self.modes:
+            raise UsageError("modes names no prediction mode")
         for m in self.modes:
             if m not in PREDICT_MODES:
                 raise UsageError(f"unknown mode '{m}'")
@@ -98,6 +100,12 @@ class ExperimentConfig:
             raise DataError(f"n_test must be >= 1, got {self.n_test}")
         if self.n_valid < 0:
             raise DataError(f"n_valid must be >= 0, got {self.n_valid}")
+        if self.corpus_tsv is None:    # a synthetic corpus's size is known before it exists
+            _check_carve(self, self.synth_pairs)
+        if self.beam < 1:
+            raise DataError(f"beam must be >= 1, got {self.beam}")
+        if self.finetune_updates < 0:
+            raise DataError(f"finetune_updates must be >= 0, got {self.finetune_updates}")
         if "weighted" in self.modes and self.n_valid < FINETUNE_MIN_PAIRS:
             raise DataError(f"n_valid {self.n_valid} is too few for the weighted fine-tune, "
                             f"which needs at least {FINETUNE_MIN_PAIRS} pairs")
@@ -130,6 +138,11 @@ class PreparedData:
     vocab: Vocab
 
 
+def _check_carve(cfg: ExperimentConfig, n: int) -> None:
+    if cfg.n_valid + cfg.n_test >= n:
+        raise DataError(f"corpus of {n} pairs cannot spare {cfg.n_valid} valid + {cfg.n_test} test")
+
+
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """Load or generate the corpus, then carve seeded valid/test slices."""
     if cfg.corpus_tsv is not None:
@@ -138,8 +151,7 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         corpus = synth_task(cfg.synth_pairs, cfg.synth_templates, cfg.synth_lexicon,
                             cfg.seed).corpus
     n = len(corpus)
-    if cfg.n_valid + cfg.n_test >= n:
-        raise DataError(f"corpus of {n} pairs cannot spare {cfg.n_valid} valid + {cfg.n_test} test")
+    _check_carve(cfg, n)
     order = substream(cfg.seed, "data_carve").permutation(n)
     test = subset(corpus, order[: cfg.n_test])
     valid = subset(corpus, order[cfg.n_test : cfg.n_test + cfg.n_valid])
@@ -196,9 +208,9 @@ def save_family(family: Family, vocab: Vocab, out_dir: Path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, verbose: bool = True) -> list[dict]:
+    data = prepare_data(cfg)    # a corpus too small to carve is refused before out_dir exists
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = prepare_data(cfg)
     save_tsv(data.test, out_dir / "test.tsv")
 
     if cfg.scenario == "high_resource":

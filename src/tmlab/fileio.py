@@ -1,10 +1,21 @@
-"""Atomic file writes (temp + rename) so partial outputs never appear."""
+"""Atomic file writes (temp + rename) so partial outputs never appear, and
+the one reader of text inputs."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+from tmlab.errors import DataError
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; invalid UTF-8 is a DataError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:

@@ -151,13 +151,19 @@ def test_each_op_gradcheck(op_name):
         return
     elif op_name == "matmul":
         w = t64(rng.normal(size=(4, 2)), grad=True)
-        f = lambda: ad.tsum(ad.matmul(a, w))
-        assert check_gradients(f, {"a": a, "w": w}) < 1e-6
+        # 2-D a, and batched a whose batch axes the weight gradient flattens
+        for x in (a, t64(rng.normal(size=(2, 3, 4)), grad=True),
+                  t64(rng.normal(size=(2, 2, 3, 4)), grad=True)):
+            proj = ad.Tensor(rng.normal(size=x.shape[:-1] + (2,)))
+            f = lambda: ad.tsum(ad.mul(ad.matmul(x, w), proj))
+            assert check_gradients(f, {"x": x, "w": w}) < 1e-6
         return
     elif op_name == "linear":
         w = t64(rng.normal(size=(4, 2)), grad=True)
         c = t64(rng.normal(size=2), grad=True)
-        for x in (a, t64(rng.normal(size=(2, 3, 4)), grad=True)):
+        # the weightnet's (B, K, T, D) input is the 4-D case
+        for x in (a, t64(rng.normal(size=(2, 3, 4)), grad=True),
+                  t64(rng.normal(size=(2, 2, 3, 4)), grad=True)):
             proj = ad.Tensor(rng.normal(size=x.shape[:-1] + (2,)))
             f = lambda: ad.tsum(ad.mul(ad.linear(x, w, c), proj))
             assert check_gradients(f, {"x": x, "w": w, "c": c}) < 1e-6
@@ -307,6 +313,30 @@ def test_linear_is_bitwise_matmul_then_add(x_shape, out_dim):
     rng = np.random.default_rng(1)
     assert_bitwise(ad.linear, lambda x, w, b: ad.add(ad.matmul(x, w), b),
                    _f32(rng, *x_shape), _f32(rng, x_shape[-1], out_dim), _f32(rng, out_dim))
+
+
+F32_TOL = 1e-5    # about 84 float32 ulps of 1.0, as the benchmark's checks use
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, F32_TOL)],
+                         ids=["f64", "f32"])
+@pytest.mark.parametrize("a_shape, out_dim", [((8, 12, 64), 128), ((8, 12, 128), 64),
+                                              ((8, 12, 64), 202), ((4, 5, 12, 64), 64)],
+                         ids=["3d", "3d-down", "3d-vocab", "4d"])
+def test_flattened_matmul_gradients_match_the_per_item_products(a_shape, out_dim, dtype, tol):
+    """With a 2-D weight, the batch axes are flattened into one GEMM per
+    gradient: not bitwise the per-item products, but within rounding."""
+    rng = np.random.default_rng(7)
+    a = ad.Tensor(rng.normal(size=a_shape).astype(dtype), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(a_shape[-1], out_dim)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=a_shape[:-1] + (out_dim,)).astype(dtype)
+    ad.backward(ad.tsum(ad.mul(ad.matmul(a, b), ad.Tensor(g))))
+    batch_axes = tuple(range(len(a_shape) - 2))
+    want_ga = g @ b.data.swapaxes(-1, -2)
+    want_gb = (a.data.swapaxes(-1, -2) @ g).sum(axis=batch_axes)
+    for got, want in ((a.grad, want_ga), (b.grad, want_gb)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def _heads(rng, B, T, H=4, Dh=16):

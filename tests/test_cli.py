@@ -301,6 +301,96 @@ def test_eval_ppl_on_an_empty_corpus_exits_2(workdir, base_model, capsys):
     assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+BAD_UTF8 = b"s1 \xff\xfe s2\n"
+
+
+def _one_data_error_line(err: str, name: str) -> bool:
+    return err.startswith(f"data error: {name}") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["corpus", "stats", "--tsv", "adir"],
+    ["index", "build", "--tsv", "adir", "--out", "c.idx"],
+    ["retrieve", "--index", "adir", "--queries", "q.txt"],
+    ["eval", "bleu", "--hyp", "adir", "--ref", "q.txt"],
+], ids=["corpus-stats-tsv", "index-build-tsv", "retrieve-index", "eval-bleu-hyp"])
+def test_a_directory_given_as_an_input_file_exits_2(workdir, capsys, command):
+    Path("adir").mkdir()
+    Path("q.txt").write_text("s1 s2\n", encoding="utf-8")
+    assert run(*command) == 2
+    err = capsys.readouterr().err
+    assert _one_data_error_line(err, "adir: ") and "directory" in err
+
+
+def test_a_directory_given_as_an_output_exits_2_and_leaves_no_temp_file(workdir, capsys):
+    run("corpus", "synth", "--pairs", "20", "--templates", "2", "--lexicon", "5",
+        "--seed", "0", "--out", "c.tsv")
+    Path("adir").mkdir()
+    before = sorted(p.name for p in workdir.iterdir())
+    capsys.readouterr()
+    assert run("index", "build", "--tsv", "c.tsv", "--out", "adir") == 2
+    err = capsys.readouterr().err
+    assert _one_data_error_line(err, "adir: ") and "directory" in err
+    assert sorted(p.name for p in workdir.iterdir()) == before and not any(Path("adir").iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--hyp", "--queries", "--input"])
+def test_invalid_utf8_in_a_text_input_exits_2(workdir, base_model, capsys, flag):
+    Path("bad.txt").write_bytes(BAD_UTF8)
+    Path("ok.txt").write_text("s1 s2\n", encoding="utf-8")
+    command = {
+        "--hyp": ["eval", "bleu", "--hyp", "bad.txt", "--ref", "ok.txt"],
+        "--queries": ["retrieve", "--index", str(base_model / "c.idx"), "--queries", "bad.txt"],
+        "--input": ["translate", "--mode", "base", "--index", str(base_model / "c.idx"),
+                    "--ckpt", str(base_model / "m.ckpt"), "--vocab",
+                    str(base_model / "m.ckpt.vocab"), "--input", "bad.txt", "--out", "h.txt"],
+    }[flag]
+    capsys.readouterr()
+    assert run(*command) == 2
+    assert _one_data_error_line(capsys.readouterr().err, "bad.txt: not valid UTF-8")
+    assert not Path("h.txt").exists()
+
+
+# every file argument names a file that does not exist: a flag refused at
+# parse time exits 1, and one read first would exit 2 (missing file)
+MISSING_INPUTS = {
+    "translate": ["translate", "--ckpt", "no.ckpt", "--vocab", "no.vocab", "--input", "no.txt",
+                  "--out", "h.txt", "--mode", "vanilla"],
+    "experiment": ["experiment", "low-resource", "--out-dir", "x", "--corpus-tsv", "no.tsv"],
+    "finetune-weight": ["finetune-weight", "--ckpt", "no.ckpt", "--vocab", "no.vocab",
+                        "--valid-tsv", "no.tsv", "--datastore-tsv", "no.tsv",
+                        "--out-ckpt", "o.ckpt", "--out-weightnet", "o.wn"],
+    "biasvar": ["biasvar", "--tsv", "no.tsv", "--test-tsv", "no.tsv", "--out-csv", "bv.csv"],
+}
+
+
+@pytest.mark.parametrize("command, flags, accepted, reason", [
+    pytest.param("translate", ["--beam", "-3"], ["--beam", "1"], "--beam: must be >= 1, got -3",
+                 id="translate-beam-negative"),
+    pytest.param("experiment", ["--beam", "-3"], ["--beam", "1"], "--beam: must be >= 1, got -3",
+                 id="experiment-beam-negative"),
+    pytest.param("finetune-weight", ["--updates", "-1"], ["--updates", "0"],
+                 "--updates: must be >= 0, got -1", id="updates-negative"),
+    pytest.param("biasvar", ["--truncate", "0"], ["--truncate", "1"],
+                 "--truncate: must be >= 1, got 0", id="truncate-0"),
+    pytest.param("biasvar", ["--models", ""], ["--models", "vanilla"], "--models: names no model",
+                 id="models-empty"),
+    pytest.param("experiment", ["--modes", " , "], ["--modes", "vanilla"],
+                 "--modes: names no model", id="experiment-modes-empty"),
+    pytest.param("biasvar", ["--truncate", "x"], ["--truncate", "100"],
+                 "--truncate: invalid int value: 'x'", id="truncate-not-an-int"),
+])
+def test_a_nonsense_flag_exits_1_before_any_file_is_read(workdir, capsys, no_training, command,
+                                                        flags, accepted, reason):
+    assert run(*MISSING_INPUTS[command], *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and reason in err and err.count("\n") == 1
+    # the least value the flag takes passes the parser and reaches the missing file
+    assert run(*MISSING_INPUTS[command], *accepted) == 2
+    assert "missing file no." in capsys.readouterr().err
+    assert not Path("x").exists()
+
+
 @pytest.mark.parametrize("mode, given, missing", [
     ("base", [], "--index"),
     ("weighted", ["--index", "c.idx"], "--weightnet"),
@@ -455,6 +545,7 @@ def test_experiment_low_resource_and_rerun(workdir):
     pytest.param('{"epochs": "x"}', 2, id="wrong-type"),
     pytest.param('{"epochs": true}', 2, id="bool-for-int"),
     pytest.param('{"modes": "vanilla"}', 2, id="modes-not-a-list"),
+    pytest.param('{"modes": []}', 1, id="no-modes"),
     pytest.param('{"corpus_tsv": 5}', 2, id="number-for-path"),
 ])
 def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
@@ -479,6 +570,11 @@ def test_experiment_rejects_unknown_config_keys(workdir, capsys, text, code):
                  id="negative-n-valid"),
     pytest.param([], {"n_valid": 9}, "n_valid 9 is too few for the weighted fine-tune",
                  id="n-valid-below-the-finetune"),
+    pytest.param(["--pairs", "50"], {"n_valid": 40, "n_test": 20},
+                 "corpus of 50 pairs cannot spare 40 valid + 20 test", id="synth-corpus-too-small"),
+    pytest.param([], {"beam": -3}, "beam must be >= 1, got -3", id="config-beam-negative"),
+    pytest.param([], {"finetune_updates": -1}, "finetune_updates must be >= 0, got -1",
+                 id="config-updates-negative"),
 ])
 def test_an_experiment_setting_that_cannot_train_exits_2_before_writing(workdir, capsys,
                                                                         no_training, flags,
