@@ -275,10 +275,11 @@ def _cmd_index(a) -> str:
 
 def _cmd_retrieve(a) -> str | None:
     idx = load_index(a.index)
-    lines = read_text(a.queries).splitlines()
+    queries = [tuple(tokenize(line)) for line in read_text(a.queries).splitlines()]
+    if not all(queries):
+        raise DataError(f"{a.queries}: line {queries.index(()) + 1}: empty query")
     records = []
-    for qid, line in enumerate(lines):
-        q = tuple(tokenize(line))
+    for qid, q in enumerate(queries):
         hits = retrieve_topk(idx, q, a.topk, exclude_exact=a.exclude_self)
         for z in hits:
             records.append(

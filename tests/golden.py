@@ -2,7 +2,7 @@
 
 `build()` trains, fine-tunes, scores and decodes at d_model 16 on a
 60-pair synthetic task, and runs the CLI commands whose files a user
-keeps (`finetune-weight`, `translate`, `eval ppl`, `biasvar`,
+keeps (`finetune-weight`, `retrieve`, `translate`, `eval ppl`, `biasvar`,
 `experiment low-resource`). `golden.json` stores each output's digest
 together with the facts of the machine that made them; floating-point
 results are only reproducible bit for bit on the same numpy, BLAS build,
@@ -174,6 +174,13 @@ def _cli(out: dict, d: Path) -> None:
     for name in ("mw.ckpt", "wn.ckpt", "curve.tsv"):
         out[f"cli.finetune_weight.{name}"] = _file(d / name)
     run("index", "build", "--tsv", d / "train.tsv", "--out", d / "train.idx")
+    # four stored sources, which --exclude-self drops, and the four test sources
+    (d / "q.txt").write_text("".join(" ".join(p.source) + "\n" for p in subset(task, range(4)))
+                             + (d / "in.txt").read_text(encoding="utf-8"), encoding="utf-8")
+    for name, flags in (("plain", ()), ("exclude_self", ("--exclude-self",))):
+        run("retrieve", "--index", d / "train.idx", "--queries", d / "q.txt", "--topk", 3,
+            *flags, "--out", d / f"hits.{name}.tsv")
+        out[f"cli.retrieve.{name}"] = _file(d / f"hits.{name}.tsv")
     model = ["--mode", "weighted", "--topk", K, "--index", d / "train.idx", "--ckpt", d / "mw.ckpt",
              "--vocab", d / "m.ckpt.vocab", "--weightnet", d / "wn.ckpt"]
     run("translate", *model, "--input", d / "in.txt", "--out", d / "greedy.txt")

@@ -292,6 +292,32 @@ def test_a_non_list_index_entry_exits_2(workdir, capsys):
     assert err.startswith("data error: bad.idx: corrupt TMIDX1 index") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body, error", [
+    (b'{"sources": [], "targets": []}', "cannot index an empty corpus"),
+    (b'{"sources": [["s1"], ["s2"]], "targets": [["x"], []]}', "pair 1: empty source or target"),
+])
+def test_an_index_with_an_empty_side_exits_2(workdir, capsys, body, error):
+    packed = zlib.compress(body)
+    Path("bad.idx").write_bytes(b"TMIDX1\x00" + struct.pack("<I", len(packed)) + packed)
+    Path("q.txt").write_text("s1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("retrieve", "--index", "bad.idx", "--queries", "q.txt") == 2
+    assert capsys.readouterr().err == f"data error: bad.idx: {error}\n"
+
+
+def test_an_empty_query_line_exits_2_before_any_output(workdir, capsys):
+    Path("c.tsv").write_text("s1 s2\tt1\ns3\tt2\n", encoding="utf-8")
+    run("index", "build", "--tsv", "c.tsv", "--out", "c.idx")
+    Path("q.txt").write_text("s1 s2\n  \ns3\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("retrieve", "--index", "c.idx", "--queries", "q.txt", "--out", "hits.tsv") == 2
+    assert capsys.readouterr().err == "data error: q.txt: line 2: empty query\n"
+    assert not Path("hits.tsv").exists()
+    assert run("retrieve", "--index", "c.idx", "--queries", "q.txt") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "data error: q.txt: line 2: empty query\n"
+
+
 def test_eval_ppl_on_an_empty_corpus_exits_2(workdir, base_model, capsys):
     Path("empty.tsv").write_text("", encoding="utf-8")
     capsys.readouterr()

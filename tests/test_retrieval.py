@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmlab.corpus import corpus_from_pairs, synth_task
+from tmlab.corpus import RESERVED_TOKENS, Vocab, corpus_from_pairs, encode_corpus, synth_task
 from tmlab.errors import DataError
 from tmlab.retrieval import (
     brute_force_topk,
@@ -110,6 +110,57 @@ def test_build_index_posting_lists():
     assert idx.postings["b"].tolist() == [0]
     with pytest.raises(DataError):
         build_index(corpus_from_pairs([]))
+
+
+def _posting_loop(corpus):
+    """The index's maps by one Counter per pair and a list append per token:
+    the reference the sort-based build is checked against."""
+    post, cnts = {}, {}
+    for p in corpus:
+        for tok, c in collections.Counter(p.source).items():
+            post.setdefault(tok, []).append(p.pair_id)
+            cnts.setdefault(tok, []).append(c)
+    return ({t: np.asarray(v, dtype=np.int64) for t, v in post.items()},
+            {t: np.asarray(v, dtype=np.int64) for t, v in cnts.items()})
+
+
+def _assert_same_index(got, want_postings, want_counts, corpus):
+    assert list(got.postings) == list(want_postings)
+    assert list(got.counts) == list(want_postings)
+    for tok in want_postings:
+        for have, want in ((got.postings[tok], want_postings[tok]), (got.counts[tok], want_counts[tok])):
+            assert have.dtype == np.int64 and have.tolist() == want.tolist()
+    assert got.lengths.dtype == np.int64
+    assert got.lengths.tolist() == [len(p.source) for p in corpus]
+    assert got.sources == tuple(p.source for p in corpus)
+    assert got.targets == tuple(p.target for p in corpus)
+
+
+# a few string and int symbols, repeats within a source; half the stores
+# may hold empty sides, which only an index file refuses
+index_tokens = st.sampled_from(["a", "b", "c", "d", 0, 1, 2])
+index_stores = st.integers(0, 1).flatmap(lambda least: st.lists(
+    st.tuples(st.lists(index_tokens, min_size=least, max_size=7),
+              st.lists(index_tokens, min_size=least, max_size=3)), min_size=1, max_size=60))
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index_stores)
+def test_build_index_equals_the_posting_loop(tmp_path, store):
+    corpus = corpus_from_pairs(store)
+    idx = build_index(corpus)
+    _assert_same_index(idx, *_posting_loop(corpus), corpus)
+    path = tmp_path / "tm.idx"
+    save_index(idx, path)
+    if not all(s and t for s, t in store):
+        with pytest.raises(DataError, match="empty source or target"):
+            load_index(path)
+        return
+    _assert_same_index(load_index(path), idx.postings, idx.counts, corpus)
+    vocab = Vocab(RESERVED_TOKENS + ("b", "c", "e"))   # "a", "d" and the ints become UNK
+    encoded = encode_corpus(corpus, vocab)
+    want = build_index(encoded)
+    _assert_same_index(load_index(path, vocab), want.postings, want.counts, encoded)
 
 
 def test_duplicate_sources_both_indexed():
